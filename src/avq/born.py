@@ -27,7 +27,7 @@ def _clamp(p: float) -> float:
 
 def _require_maximal_pair(va: AccessibleVariable, vb: AccessibleVariable):
     if not is_maximal(va) or not is_maximal(vb):
-        raise NotMaximal("transition probabilities need rank-1 projectors")
+        raise NotMaximal("transition probabilities need rank-1 eigenspaces")
     if va.dim != vb.dim:
         raise DimMismatch(f"dims {va.dim} and {vb.dim} differ")
 
@@ -36,8 +36,7 @@ def transition_probability(va: AccessibleVariable, i: int,
                            vb: AccessibleVariable, j: int) -> float:
     """|<a;i|b;j>|^2 for maximal variables."""
     _require_maximal_pair(va, vb)
-    return _clamp(np.real(hilbert.trace_product(va.projectors[i],
-                                                vb.projectors[j])))
+    return _clamp(float(np.abs(np.vdot(va.basis[:, i], vb.basis[:, j])) ** 2))
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,12 @@ class TransitionTable:
 
 
 def transition_table(va: AccessibleVariable, vb: AccessibleVariable) -> TransitionTable:
+    """[i, j] = |<a;i|b;j>|^2, all entries at once as |V_a^dag V_b|^2."""
     _require_maximal_pair(va, vb)
-    m = np.array([[transition_probability(va, i, vb, j)
-                   for j in range(len(vb.values))]
-                  for i in range(len(va.values))])
-    return TransitionTable(va.name, vb.name, va.values, vb.values, m)
+    m = np.abs(hilbert.dagger(va.basis) @ vb.basis) ** 2
+    _clamp(float(m.max()))  # entries are >= 0, so only an overshoot above 1 can occur
+    return TransitionTable(va.name, vb.name, va.values, vb.values,
+                           np.minimum(m, 1.0))
 
 
 def born_projector(s, p) -> float:

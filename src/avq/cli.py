@@ -56,17 +56,6 @@ def _emit(report: dict, fmt: str, out=None):
             fh.write(text)
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key, value in cfg.items():
-            key = key.replace("-", "_")
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-    return args
-
-
 def _require_seed(args, parser):
     if args.seed is None:
         parser.error("--seed is mandatory for stochastic runs")
@@ -80,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv", "plain"], default="json")
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--config", default=None)
+        sp.add_argument("--config", default=None,
+                        help="JSON object of flag defaults; explicit flags win")
+        sp.set_defaults(subparser=sp)
 
     sp = sub.add_parser("spin", help="spin algebra checks and spectra")
     sp.add_argument("--r", required=True, help="spin, e.g. 1, 1/2, 3/2")
@@ -315,9 +306,47 @@ _COMMANDS = {"spin": _cmd_spin, "born": _cmd_born, "chsh": _cmd_chsh,
              "inference": _cmd_inference}
 
 
+def _config_defaults(sub, path) -> dict:
+    """The config file's entries as argparse defaults of the subcommand.
+
+    A value is parsed by its flag's type and checked against its choices
+    as if typed after the flag (lists as comma-separated text); an on/off
+    flag takes true or false.
+    """
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        sub.error(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        sub.error(f"config {path} must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions}
+    defaults = {}
+    for key, value in cfg.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
+            sub.error(f"config {path}: unknown option {key!r}")
+        if action.nargs == 0:  # an on/off flag
+            if not isinstance(value, bool):
+                sub.error(f"config {path}: {key} must be true or false")
+        elif value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                sub.error(f"config {path}: {key}: {exc}")
+            if action.choices is not None and value not in action.choices:
+                sub.error(f"config {path}: {key} must be one of {action.choices}")
+        defaults[action.dest] = value
+    return defaults
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = _apply_config(parser.parse_args(argv))
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
     except (DomainError, ValueError) as exc:

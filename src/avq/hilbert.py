@@ -8,6 +8,7 @@ per call where it matters (eigenvalue merging, symmetry checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,12 @@ EFFECT_TOL = 1e-10
 TRACE_ONE_TOL = 1e-10
 PSD_TOL = 1e-10
 EIGEN_MERGE_TOL = 1e-8
-RECONSTRUCT_TOL = 1e-8
+
+
+def require(dev, tol: float, error, what: str):
+    """Raise ``error`` with the measured residual unless dev <= tol (NaN fails)."""
+    if not dev <= tol:
+        raise error(f"{what} = {dev} > {tol}")
 
 
 def as_operator(a) -> np.ndarray:
@@ -31,7 +37,7 @@ def as_operator(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite")
     return m
 
@@ -39,9 +45,7 @@ def as_operator(a) -> np.ndarray:
 def as_state(v) -> np.ndarray:
     """Coerce to a unit-norm complex vector."""
     s = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(s)
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state norm {nrm} is not 1 within {STATE_NORM_TOL}")
+    require(abs(np.linalg.norm(s) - 1.0), STATE_NORM_TOL, ValueError, "state |norm - 1|")
     return s
 
 
@@ -60,9 +64,7 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = as_operator(a)
-    dev = np.max(np.abs(m - dagger(m)))
-    if dev > tol:
-        raise NotHermitian(f"max |A - A^dag| = {dev} > {tol}")
+    require(np.max(np.abs(m - dagger(m))), tol, NotHermitian, "max |A - A^dag|")
     return m
 
 
@@ -73,24 +75,15 @@ def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
 
 def require_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
     m = as_operator(a)
-    dev = np.max(np.abs(dagger(m) @ m - identity(m.shape[0])))
-    if dev > tol:
-        raise NotUnitary(f"max |U^dag U - I| = {dev} > {tol}")
+    require(np.abs(dagger(m) @ m - identity(len(m))).max(), tol, NotUnitary,
+            "max |U^dag U - I|")
     return m
-
-
-def is_projector(p, tol: float = PROJECTOR_TOL) -> bool:
-    m = as_operator(p)
-    return is_hermitian(m, tol) and np.max(np.abs(m @ m - m)) <= tol
 
 
 def require_projector(p, tol: float = PROJECTOR_TOL) -> np.ndarray:
     m = as_operator(p)
-    if not is_hermitian(m, tol):
-        raise NotProjector("projector must be Hermitian")
-    dev = np.max(np.abs(m @ m - m))
-    if dev > tol:
-        raise NotProjector(f"max |P^2 - P| = {dev} > {tol}")
+    require(np.max(np.abs(m - dagger(m))), tol, NotProjector, "max |P - P^dag|")
+    require(np.max(np.abs(m @ m - m)), tol, NotProjector, "max |P^2 - P|")
     return m
 
 
@@ -114,58 +107,60 @@ def require_density(sigma, tol: float = TRACE_ONE_TOL) -> np.ndarray:
     """Hermitian, positive semidefinite, trace one."""
     m = require_hermitian(sigma, HERMITIAN_TOL)
     w = np.linalg.eigvalsh(m)
-    if w[0] < -PSD_TOL:
-        raise NotEffect(f"density operator has eigenvalue {w[0]} < -{PSD_TOL}")
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > tol:
-        raise NotEffect(f"density operator trace {tr} is not 1 within {tol}")
+    require(-w[0], PSD_TOL, NotEffect, "density operator's -(least eigenvalue)")
+    require(abs(np.trace(m).real - 1.0), tol, NotEffect, "density operator's |trace - 1|")
     return m
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral resolution of a Hermitian operator.
-
-    ``eigenvalues`` are ascending and deduplicated; ``projectors[k]`` is the
-    orthogonal projector onto the eigenspace of ``eigenvalues[k]``.
-    """
+    """Spectral resolution as a grouped eigenbasis: the unitary ``basis``
+    has its columns in consecutive groups, and group k, of ``sizes[k]``
+    columns, spans the eigenspace of ``eigenvalues[k]``."""
 
     eigenvalues: np.ndarray
-    projectors: tuple
+    basis: np.ndarray
+    sizes: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.basis.shape[0]
+
+    def blocks(self) -> list:
+        ends = np.cumsum(self.sizes).tolist()
+        return [self.basis[:, e - n:e] for n, e in zip(self.sizes.tolist(), ends)]
+
+    @cached_property
+    def projectors(self) -> tuple:
+        return tuple(b @ dagger(b) for b in self.blocks())
+
+    def spectral_sum(self, weights) -> np.ndarray:
+        """sum_k weights[k] * projectors[k], computed as V diag(w) V^dag."""
+        w = np.repeat(np.asarray(weights), self.sizes)
+        return (self.basis * w) @ dagger(self.basis)
 
     def reconstruct(self) -> np.ndarray:
-        return sum(u * p for u, p in zip(self.eigenvalues, self.projectors))
+        return self.spectral_sum(self.eigenvalues)
 
     def resolution_sum(self) -> np.ndarray:
-        return sum(self.projectors)
+        return self.spectral_sum(np.ones(len(self.sizes)))
 
 
 def eig_hermitian(h, tol: float = HERMITIAN_TOL,
                   merge_tol: float = EIGEN_MERGE_TOL) -> EigenDecomposition:
-    """Eigendecomposition with degenerate eigenvalues merged into one projector.
-
-    Eigenvalues whose gap is below ``merge_tol * (1 + |u|)`` are treated as a
-    single degenerate level; splitting them would fabricate spurious
-    one-dimensional eigenspaces.
-    """
+    """Eigendecomposition, ascending, with degenerate eigenvalues merged:
+    u joins the current level while within ``merge_tol * (1 + |u|)`` of the
+    level's first eigenvalue, so no level spans more than the tolerance (nor
+    is split into spurious one-dimensional eigenspaces).  Levels take the
+    mean of their eigenvalues."""
     m = require_hermitian(h, tol)
     w, vecs = np.linalg.eigh(m)
-    values = []
-    projectors = []
-    start = 0
-    n = len(w)
-    for k in range(1, n + 1):
-        if k < n and (w[k] - w[k - 1]) < merge_tol * (1.0 + abs(w[k])):
-            continue
-        block = vecs[:, start:k]
-        values.append(float(np.mean(w[start:k])))
-        projectors.append(block @ dagger(block))
-        start = k
-    return EigenDecomposition(np.array(values), tuple(projectors))
+    starts = [0]
+    for k, u in enumerate(w.tolist()):
+        if u - w[starts[-1]] >= merge_tol * (1.0 + abs(u)):
+            starts.append(k)
+    sizes = np.diff(starts + [len(w)])
+    return EigenDecomposition(np.add.reduceat(w, starts) / sizes, vecs, sizes)
 
 
 def tensor(a, b) -> np.ndarray:

@@ -74,7 +74,7 @@ def likelihood_effect(m: StatisticalModel, v: AccessibleVariable, x) -> np.ndarr
     """F(x) = sum_j p(x|u_j) Pi_j."""
     _require_matching(m, v)
     row = m.likelihood[m.sample_index(x)]
-    return sum(p * proj for p, proj in zip(row, v.projectors))
+    return v.spectral_sum(row)
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ def density_of(pi, v: AccessibleVariable) -> np.ndarray:
         raise BadDistribution("weights must be nonnegative")
     if abs(w.sum() - 1.0) > MODEL_TOL:
         raise BadDistribution(f"weights sum to {w.sum()}, not 1")
-    ranks = v.ranks()
-    sigma = sum(p * proj / r for p, proj, r in zip(w, v.projectors, ranks))
+    sigma = v.spectral_sum(w / v.ranks())
     return hilbert.require_density(sigma)
 
 

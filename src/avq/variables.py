@@ -1,9 +1,7 @@
-"""Accessible variables as named value lists with orthogonal eigenprojectors.
+"""Accessible variables as named values + grouped orthonormal eigenbasis.
 
-A variable pairs each distinct real value with the projector onto the
-eigenspace where it is taken.  Operators are assembled from and decomposed
-back into this form, functions of variables merge eigenspaces, and states
-are matched back to (question, answer) pairs through a variable catalog.
+Functions of variables merge eigenspaces, and states are matched back to
+(question, answer) pairs through a variable catalog.
 """
 
 from __future__ import annotations
@@ -13,56 +11,69 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimMismatch, NotPermutation
+from .errors import DimMismatch, NotPermutation, NotProjector
 
 VALUE_GAP_TOL = 1e-8
 MATCH_THRESHOLD = 1e-9  # on 1 - |<a;j|s>|
 
 
-@dataclass(frozen=True)
-class AccessibleVariable:
+@dataclass(frozen=True, init=False)
+class AccessibleVariable(hilbert.EigenDecomposition):
+    """``values[j]`` is taken on the span of the j-th column group of the
+    unitary ``basis``: a ``hilbert.EigenDecomposition`` with a name."""
+
     name: str
-    values: np.ndarray
-    projectors: tuple
+    values = property(lambda self: self.eigenvalues)
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        projs = tuple(hilbert.as_operator(p) for p in self.projectors)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "projectors", projs)
-        if len(vals) != len(projs) or len(vals) == 0:
-            raise ValueError("need one projector per value")
-        for i, u in enumerate(vals):
-            for v in vals[i + 1:]:
-                if abs(u - v) <= VALUE_GAP_TOL:
-                    raise ValueError(f"values {u} and {v} are not distinct")
-        d = projs[0].shape[0]
-        for p in projs:
-            hilbert.require_projector(p)
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.max(np.abs(projs[i] @ projs[j])) > hilbert.PROJECTOR_TOL:
-                    raise ValueError("projectors are not mutually orthogonal")
-        if np.max(np.abs(sum(projs) - hilbert.identity(d))) > hilbert.PROJECTOR_TOL:
-            raise ValueError("projectors do not sum to the identity")
+    def __init__(self, name, values, projectors):
+        """One orthogonal projector per value; they must sum to I."""
+        projs = np.asarray(projectors, dtype=complex)
+        if (projs.ndim != 3 or projs.shape[1] != projs.shape[2]
+                or not np.isfinite(projs).all()):
+            raise ValueError("need one finite square projector per value")
+        hilbert.require(np.abs(projs - projs.conj().transpose(0, 2, 1)).max(),
+                        hilbert.PROJECTOR_TOL, NotProjector, "max |P - P^dag|")
+        # the eigenvalue j of sum_j j P_j marks the columns of group j
+        k = len(projs)
+        w, vecs = np.linalg.eigh(np.einsum("j,jab->ab", np.arange(k), projs))
+        group = np.rint(w).clip(0, k - 1).astype(int)
+        self._set(name, values, vecs, np.bincount(group, minlength=k))
+        # P_j = V_j V_j^dag for every j makes the P_j orthogonal and complete
+        hilbert.require(np.abs(projs - np.asarray(self.projectors)).max(),
+                        hilbert.PROJECTOR_TOL, ValueError, "max |P_j - V_j V_j^dag|")
 
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
+    def _set(self, name, values, basis, sizes):
+        vals = np.asarray(values, dtype=float).reshape(-1)
+        sizes = np.asarray(sizes, dtype=int).reshape(-1)
+        basis = hilbert.require_unitary(basis)
+        vars(self).update(name=name, eigenvalues=vals, basis=basis, sizes=sizes)
+        if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
+            raise ValueError(f"sizes {sizes} do not split dim {len(basis)} "
+                             f"among {len(vals)} values")
+        ordered = np.sort(vals)
+        if not (np.isfinite(ordered).all() and (np.diff(ordered) > VALUE_GAP_TOL).all()):
+            raise ValueError(f"values {vals} are not finite and distinct")
 
     def ranks(self) -> np.ndarray:
-        return np.array([round(np.trace(p).real) for p in self.projectors])
+        return self.sizes
+
+    @classmethod
+    def from_basis(cls, name, values, basis, sizes) -> "AccessibleVariable":
+        """values[j] on the j-th group of sizes[j] consecutive columns of basis."""
+        v = cls.__new__(cls)
+        v._set(name, values, basis, sizes)
+        return v
 
     @classmethod
     def from_eigenbasis(cls, name, values, vectors) -> "AccessibleVariable":
         """One unit eigenvector per value (all eigenspaces one-dimensional)."""
-        projs = [np.outer(v, np.conj(v)) for v in map(hilbert.as_state, vectors)]
-        return cls(name, values, tuple(projs))
+        basis = np.array([hilbert.as_state(v) for v in vectors]).T
+        return cls.from_basis(name, values, basis, np.ones(basis.shape[-1]))
 
     @classmethod
     def from_operator(cls, name, h) -> "AccessibleVariable":
         dec = hilbert.eig_hermitian(h)
-        return cls(name, dec.eigenvalues, dec.projectors)
+        return cls.from_basis(name, dec.eigenvalues, dec.basis, dec.sizes)
 
 
 @dataclass(frozen=True)
@@ -72,29 +83,31 @@ class QuestionAnswer:
 
 
 def operator_of(v: AccessibleVariable) -> np.ndarray:
-    return sum(u * p for u, p in zip(v.values, v.projectors))
+    return v.reconstruct()
 
 
 def derived_variable(v: AccessibleVariable, t, name=None) -> AccessibleVariable:
-    """The variable t(v): image values with fibers' projectors merged."""
-    images = [float(t(u)) for u in v.values]
-    new_values = []
-    new_projectors = []
-    for img, proj in zip(images, v.projectors):
+    """The variable t(v): image values with fibers' eigenspaces merged."""
+    new_values, fibers = [], []
+    for j, u in enumerate(v.values):
+        img = float(t(u))
         for k, w in enumerate(new_values):
             if abs(img - w) <= VALUE_GAP_TOL:
-                new_projectors[k] = new_projectors[k] + proj
+                fibers[k].append(j)
                 break
         else:
             new_values.append(img)
-            new_projectors.append(proj)
-    return AccessibleVariable(name or f"{v.name}'", np.array(new_values),
-                              tuple(new_projectors))
+            fibers.append([j])
+    blocks = v.blocks()
+    basis = np.hstack([blocks[j] for fiber in fibers for j in fiber])
+    sizes = [v.sizes[fiber].sum() for fiber in fibers]
+    return AccessibleVariable.from_basis(name or f"{v.name}'", new_values,
+                                         basis, sizes)
 
 
-def is_maximal(v: AccessibleVariable, tol: float = 1e-8) -> bool:
+def is_maximal(v: AccessibleVariable) -> bool:
     """Maximal iff every eigenspace is one-dimensional."""
-    return all(abs(np.trace(p).real - 1.0) <= tol for p in v.projectors)
+    return bool(np.all(v.sizes == 1))
 
 
 def state_to_question(s, catalog) -> list:
@@ -110,12 +123,12 @@ def state_to_question(s, catalog) -> list:
         if var.dim != sv.shape[0]:
             raise DimMismatch(f"variable {var.name} has dim {var.dim}, "
                               f"state has dim {sv.shape[0]}")
-        for u, p in zip(var.values, var.projectors):
-            if abs(np.trace(p).real - 1.0) > 1e-8:
-                continue  # only sharp (rank-1) answers match a pure state
-            overlap = np.sqrt(max(np.real(np.conj(sv) @ p @ sv), 0.0))
-            if overlap > 1.0 - MATCH_THRESHOLD:
-                hits.append(QuestionAnswer(var.name, float(u)))
+        sharp = var.sizes == 1  # only sharp (rank-1) answers match a pure state
+        columns = (np.cumsum(var.sizes) - 1)[sharp]
+        overlaps = np.abs(np.conj(sv) @ var.basis[:, columns])
+        hits += [QuestionAnswer(var.name, float(u))
+                 for u, o in zip(var.values[sharp], overlaps)
+                 if o > 1.0 - MATCH_THRESHOLD]
     return hits
 
 
@@ -129,18 +142,16 @@ def conjugated_variable(v: AccessibleVariable, u, value_action,
     uu = hilbert.require_unitary(u)
     new_values = np.array([float(value_action(x)) for x in v.values])
     # each image must land back on the value list, bijectively
-    perm = np.full(len(v.values), -1)
-    for j, w in enumerate(new_values):
-        hits = np.nonzero(np.abs(v.values - w) <= VALUE_GAP_TOL)[0]
-        if len(hits) != 1:
-            raise NotPermutation(f"image value {w} is not on the value list")
-        perm[j] = hits[0]
-    if len(set(perm.tolist())) != len(perm):
-        raise NotPermutation("value action is not a bijection of the values")
-    # entry j: value action(u_j), projector of U^dag A U for that eigenvalue
-    projs = tuple(hilbert.dagger(uu) @ v.projectors[perm[j]] @ uu
-                  for j in range(len(v.values)))
-    return AccessibleVariable(name or f"{v.name}*", new_values, projs)
+    hits = np.abs(new_values[:, None] - v.values) <= VALUE_GAP_TOL
+    perm = hits.argmax(axis=1)
+    if (hits.sum(axis=1) != 1).any() or len(np.unique(perm)) != len(perm):
+        raise NotPermutation(f"value action maps {v.values} to {new_values}, "
+                             "not onto the value list")
+    # entry j: value action(u_j), on U^dag times v's eigenvectors for that value
+    blocks = v.blocks()
+    basis = hilbert.dagger(uu) @ np.hstack([blocks[j] for j in perm])
+    return AccessibleVariable.from_basis(name or f"{v.name}*", new_values,
+                                         basis, v.sizes[perm])
 
 
 def variable_to_dict(v: AccessibleVariable) -> dict:

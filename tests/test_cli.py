@@ -170,6 +170,43 @@ class TestConfigFile:
         other = run_cli("medical", "--n", "20000", "--seed", "3", check=True)
         assert proc.stdout == other.stdout
 
+    def test_config_sets_on_off_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classical_max": True}))
+        proc = run_cli("chsh", "--config", str(cfg), check=True)
+        assert json.loads(proc.stdout) == {"classical_max": 2}
+
+    def test_config_values_go_through_argparse_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"angles": "0,90,45,135", "n": 2000,
+                                   "seed": 13}))
+        proc = run_cli("chsh", "--config", str(cfg), check=True)
+        direct = run_cli("chsh", "--angles", "0,90,45,135", "--n", "2000",
+                         "--seed", "13", check=True)
+        assert proc.stdout == direct.stdout
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]",
+                                         '{"bogus": 1}',
+                                         '{"classical_max": "yes"}',
+                                         '{"n": "many", "seed": 2}',
+                                         '{"format": "xml"}'])
+    def test_bad_config_is_usage_error(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        proc = run_cli("chsh", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
+class TestPackageEntryPoint:
+    def test_python_m_avq_matches_cli_module(self):
+        args = ("spin", "--r", "1/2", "--check")
+        proc = subprocess.run([sys.executable, "-m", "avq", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*args, check=True).stdout
+
 
 class TestExitCodes:
     def test_unknown_flag(self):

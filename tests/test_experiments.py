@@ -80,7 +80,8 @@ class TestChshClassical:
         assert max(values) == 2 and min(values) == -2
 
     def test_all_plus_assignment(self):
-        assert 1 * 1 + 1 * 1 + 1 * 1 - 1 * 1 == 2
+        all_plus = dict.fromkeys(experiments.CHSH_SIGNS, (+1) * (+1))
+        assert experiments.chsh_statistic(all_plus) == 2
 
 
 class TestChshQuantumMax:

@@ -31,6 +31,17 @@ class TestEigHermitian:
         assert np.allclose(dec.eigenvalues, [1.0])
         assert np.allclose(dec.projectors[0], np.eye(4))
 
+    def test_merging_does_not_chain(self):
+        # gaps of 0.9e-8 each fall under the 1e-8 merge tolerance, but the
+        # whole spectrum spans 1.8e-6: levels pair up instead of collapsing
+        dec = hilbert.eig_hermitian(np.diag(np.arange(200) * 0.9e-8))
+        assert len(dec.eigenvalues) == 100
+        assert dec.sizes.tolist() == [2] * 100
+        for p in dec.projectors:
+            w = np.diag(p).real > 0.5
+            spread = np.ptp(np.arange(200)[w] * 0.9e-8)
+            assert spread < hilbert.EIGEN_MERGE_TOL
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hilbert.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -137,6 +148,11 @@ class TestPredicates:
     def test_state_norm(self):
         with pytest.raises(ValueError):
             hilbert.as_state([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    def test_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            hilbert.as_state([bad, 1.0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -104,6 +104,43 @@ def test_derived_composition_property(seed, d):
         assert np.max(np.abs(lhs.projectors[i] - rhs.projectors[j])) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.integers(-20, 20), min_size=4, max_size=4, unique=True))
+def test_planted_degeneracy_property(seed, mults, levels):
+    """A Hermitian matrix with planted multiplicities (d <= 8) round-trips
+    through the grouped eigenbasis and through the projector constructor."""
+    g = np.random.default_rng(seed)
+    d = sum(mults)
+    levels = np.sort(np.array(levels[:len(mults)], dtype=float))
+    u = random_unitary(g, d)
+    h = (u * np.repeat(levels, mults)) @ hilbert.dagger(u)
+    v = variables.AccessibleVariable.from_operator("h", h)
+    assert np.max(np.abs(v.values - levels)) < 1e-8
+    assert v.ranks().tolist() == mults
+    assert np.max(np.abs(variables.operator_of(v) - h)) < 1e-8
+    projs = v.projectors
+    assert np.max(np.abs(sum(projs) - np.eye(d))) < 1e-10
+    for i, p in enumerate(projs):
+        for j, q in enumerate(projs):
+            assert np.max(np.abs(p @ q - (p if i == j else 0.0))) < 1e-10
+    # the projector constructor round-trips, whatever the value order
+    order = g.permutation(len(mults))
+    w = variables.AccessibleVariable("w", v.values[order],
+                                     tuple(projs[k] for k in order))
+    assert w.ranks().tolist() == [mults[k] for k in order]
+    for k, p in zip(order, w.projectors):
+        assert np.max(np.abs(p - projs[k])) < 1e-10
+    if len(mults) > 1:
+        # swap one eigenvector of the first group for one that leans half
+        # into the last group: still a projector, no longer orthogonal
+        b0 = v.basis[:, 0]
+        c = (b0 + v.basis[:, -1]) / np.sqrt(2.0)
+        bad = projs[0] - np.outer(b0, np.conj(b0)) + np.outer(c, np.conj(c))
+        with pytest.raises(ValueError):
+            variables.AccessibleVariable("bad", v.values, (bad,) + projs[1:])
+
+
 class TestIsMaximal:
     def test_spin_half_component(self):
         assert variables.is_maximal(spin_half_z())
