@@ -21,7 +21,17 @@ def _parse_triple(text):
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    return spin.unit(parts)
+    try:
+        return spin.unit(parts)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_spin(text):
+    try:
+        return spin.parse_spin(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_angles(text):
@@ -74,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(subparser=sp)
 
     sp = sub.add_parser("spin", help="spin algebra checks and spectra")
-    sp.add_argument("--r", required=True, help="spin, e.g. 1, 1/2, 3/2")
+    sp.add_argument("--r", required=True, type=_parse_spin,
+                    help="spin, e.g. 1, 1/2, 3/2")
     sp.add_argument("--check", action="store_true",
                     help="commutation/Casimir/rotation-sign residuals")
     sp.add_argument("--resolution-order", type=int, default=None,
@@ -125,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_spin(args, parser):
-    two_r = spin.parse_spin(args.r)
+    two_r = args.r
     report = {"two_r": two_r, "dim": two_r + 1}
     ops = spin.spin_operators(two_r)
     if args.check:

@@ -9,6 +9,10 @@ class DomainError(Exception):
     """Base class for all avq contract violations."""
 
 
+class NotFinite(DomainError):
+    """Input holds NaN or an infinity."""
+
+
 class NotHermitian(DomainError):
     pass
 

@@ -151,16 +151,16 @@ def eig_hermitian(h, tol: float = HERMITIAN_TOL,
     """Eigendecomposition, ascending, with degenerate eigenvalues merged:
     u joins the current level while within ``merge_tol * (1 + |u|)`` of the
     level's first eigenvalue, so no level spans more than the tolerance (nor
-    is split into spurious one-dimensional eigenspaces).  Levels take the
-    mean of their eigenvalues."""
+    is split into spurious one-dimensional eigenspaces).  A level's value is
+    its first (least) eigenvalue, so consecutive values lie more than
+    ``merge_tol`` apart."""
     m = require_hermitian(h, tol)
     w, vecs = np.linalg.eigh(m)
     starts = [0]
     for k, u in enumerate(w.tolist()):
-        if u - w[starts[-1]] >= merge_tol * (1.0 + abs(u)):
+        if u - w[starts[-1]] > merge_tol * (1.0 + abs(u)):
             starts.append(k)
-    sizes = np.diff(starts + [len(w)])
-    return EigenDecomposition(np.add.reduceat(w, starts) / sizes, vecs, sizes)
+    return EigenDecomposition(w[starts], vecs, np.diff(starts + [len(w)]))
 
 
 def tensor(a, b) -> np.ndarray:

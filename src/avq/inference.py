@@ -8,12 +8,18 @@ draws in a fixed canonical order, so a repeated run is bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
-from .errors import ZeroEvidence
+from . import hilbert
+from .errors import BadDistribution, NotFinite, ZeroEvidence
+
+
+def _std_normal_cdf(x: float) -> float:
+    """Phi(x) = erfc(-x / sqrt 2) / 2; erfc keeps the lower tail accurate."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -28,10 +34,12 @@ class DiscretePrior:
         object.__setattr__(self, "weights", w)
         if v.shape != w.shape:
             raise ValueError("values and weights must have equal length")
+        if not np.isfinite(v).all():
+            raise NotFinite(f"values {v} are not finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()}, not 1")
+        hilbert.require(abs(w.sum() - 1.0), 1e-12, BadDistribution,
+                        "|sum of weights - 1|")
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,7 @@ def prop2_experiment(c1: float, c2: float, spec: SimulationSpec) -> EquivalenceR
     cov_hits = (x + c1 <= spec.theta) & (spec.theta <= x + c2)
     cred = float(np.mean(cred_hits))
     cov = float(np.mean(cov_hits))
-    analytic = float(norm.cdf(-c1) - norm.cdf(-c2))
+    analytic = _std_normal_cdf(-c1) - _std_normal_cdf(-c2)
     se_cred = float(np.sqrt(cred * (1.0 - cred) / spec.n))
     se_cov = float(np.sqrt(cov * (1.0 - cov) / spec.n))
     return EquivalenceResult(cred, cov, analytic, se_cred, se_cov)

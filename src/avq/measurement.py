@@ -85,10 +85,11 @@ class Povm:
     def __post_init__(self):
         effs = tuple(hilbert.require_effect(e) for e in self.effects)
         object.__setattr__(self, "effects", effs)
+        if not effs:
+            raise BadDistribution("a POVM needs at least one effect")
         d = effs[0].shape[0]
-        total = sum(effs)
-        if np.max(np.abs(total - hilbert.identity(d))) > MODEL_TOL:
-            raise ValueError("effects do not sum to the identity")
+        hilbert.require(np.abs(sum(effs) - hilbert.identity(d)).max(), MODEL_TOL,
+                        BadDistribution, "max |sum of effects - I|")
 
 
 def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
@@ -140,10 +141,12 @@ class KrausInstrument:
     def __post_init__(self):
         ops = tuple(hilbert.as_operator(a) for a in self.kraus)
         object.__setattr__(self, "kraus", ops)
+        if not ops:
+            raise BadDistribution("an instrument needs at least one Kraus operator")
         d = ops[0].shape[0]
         total = sum(hilbert.dagger(a) @ a for a in ops)
-        if np.max(np.abs(total - hilbert.identity(d))) > MODEL_TOL:
-            raise ValueError("sum of A_j^dag A_j is not the identity")
+        hilbert.require(np.abs(total - hilbert.identity(d)).max(), MODEL_TOL,
+                        BadDistribution, "max |sum of A_j^dag A_j - I|")
 
     @property
     def n_branches(self) -> int:

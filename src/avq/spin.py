@@ -7,26 +7,29 @@ component is diag(r, r-1, ..., -r).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
+from .errors import NotFinite
 
 DIRECTION_TOL = 1e-12
 
 
 def as_direction(a) -> np.ndarray:
     v = np.asarray(a, dtype=float).reshape(3)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > DIRECTION_TOL:
-        raise ValueError(f"direction norm {nrm} is not 1 within {DIRECTION_TOL}")
+    hilbert.require(abs(np.linalg.norm(v) - 1.0), DIRECTION_TOL, ValueError,
+                    "direction |norm - 1|")
     return v
 
 
 def unit(a) -> np.ndarray:
     """Normalize a 3-vector to a unit direction."""
     v = np.asarray(a, dtype=float).reshape(3)
+    if not np.isfinite(v).all():
+        raise NotFinite(f"direction {v} is not finite")
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -170,14 +173,19 @@ def resolution_deviation(two_r: int, order: int) -> float:
 
 
 def parse_spin(text: str) -> int:
-    """Parse '1', '1/2', '0.5', '3/2' ... into two_r."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        r = float(num) / float(den)
-    else:
-        r = float(text)
-    two_r = round(2 * r)
-    if two_r < 0 or abs(2 * r - two_r) > 1e-9:
+    """Parse '1', '1/2', '0.5', '3/2' ... into two_r.
+
+    Anything but a finite nonnegative half-integer, such as 'inf', 'nan' or
+    '1/0', raises ValueError.
+    """
+    parts = text.split("/")
+    try:
+        num = float(parts[0])
+        den = float(parts[1]) if len(parts) == 2 else 1.0
+    except ValueError:
+        num = den = math.nan
+    twice = 2.0 * num / den if den != 0 else math.nan
+    if (len(parts) > 2 or not all(map(math.isfinite, (num, den, twice)))
+            or twice < 0 or abs(twice - round(twice)) > 1e-9):
         raise ValueError(f"spin must be a nonnegative half-integer, got {text!r}")
-    return two_r
+    return round(twice)

@@ -13,7 +13,8 @@ import numpy as np
 from . import hilbert
 from .errors import DimMismatch, NotPermutation, NotProjector
 
-VALUE_GAP_TOL = 1e-8
+# values closer than this are one value; eig_hermitian's levels lie farther apart
+VALUE_GAP_TOL = hilbert.EIGEN_MERGE_TOL
 MATCH_THRESHOLD = 1e-9  # on 1 - |<a;j|s>|
 
 

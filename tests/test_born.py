@@ -122,6 +122,10 @@ class TestSpinHalfTransition:
             assert born.spin_half_transition([0, 0, 1], [1, 0, 0], sign) == \
                 pytest.approx(0.5)
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(ValueError):
+            born.spin_half_transition([np.nan, 0, 1], [0, 0, 1], +1)
+
     def test_medical_geometry(self):
         a = spin.unit([-1.0, -1.0, -1.0])
         b = spin.unit([-1.0, 1.0, 1.0])

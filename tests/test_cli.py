@@ -39,6 +39,13 @@ class TestSpinCommand:
         proc = run_cli("spin", "--r", "1/2", "--format", "plain", check=True)
         assert "two_r: 1" in proc.stdout
 
+    @pytest.mark.parametrize("r", ["1/0", "inf", "nan"])
+    def test_bad_spin_is_usage_error(self, r):
+        proc = run_cli("spin", "--r", r)
+        assert proc.returncode == 2
+        assert "argument --r" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestBornCommand:
     def test_transition(self):
@@ -206,6 +213,14 @@ class TestPackageEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_cli(*args, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, avq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

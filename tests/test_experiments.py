@@ -65,6 +65,25 @@ class TestChshSimulate:
         assert rows[1][1] in ("a", "a'")
         assert int(rows[1][3]) in (1, -1)
 
+    def test_csv_log_bytes_match_csv_writer(self, tmp_path):
+        cfg = experiments.ChshConfig(0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4, 400, 8)
+        run = experiments.chsh_simulate(cfg)
+        assert len(run.correlations) == 4
+        cells = set(zip(run.setting_a.tolist(), run.setting_b.tolist(),
+                        run.outcome_a.tolist(), run.outcome_b.tolist()))
+        assert len(cells) == 16  # every setting pair and outcome pair occurs
+        path = tmp_path / "trials.csv"
+        run.write_csv(path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["trial", "setting_a", "setting_b", "outcome_a", "outcome_b"])
+            for t in range(cfg.n_trials):
+                w.writerow([t, experiments.SETTING_LABELS_A[run.setting_a[t]],
+                            experiments.SETTING_LABELS_B[run.setting_b[t]],
+                            run.outcome_a[t], run.outcome_b[t]])
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 0, 1)
@@ -84,7 +103,32 @@ class TestChshClassical:
         assert experiments.chsh_statistic(all_plus) == 2
 
 
+def brute_force_quantum_max(resolution_deg):
+    """The O(N^3) scan: every (a', b, b') on the grid, first maximum kept."""
+    grid = np.arange(0.0, 360.0, resolution_deg)
+    rad = np.deg2rad(grid)
+    best = (0.0, (0.0, 0.0, 0.0, 0.0))
+    b = rad[None, :, None]
+    bp = rad[None, None, :]
+    for i, ap in enumerate(rad):
+        s = experiments.chsh_statistic({
+            ("a", "b"): -np.cos(-b), ("a", "b'"): -np.cos(-bp),
+            ("a'", "b"): -np.cos(ap - b), ("a'", "b'"): -np.cos(ap - bp)})
+        jb, jbp = np.unravel_index(np.argmax(np.abs(s)), s.shape[1:])
+        val = float(s[0, jb, jbp])
+        if abs(val) > abs(best[0]):
+            best = (val, (0.0, float(grid[i]), float(grid[jb]), float(grid[jbp])))
+    return best[1], best[0]
+
+
 class TestChshQuantumMax:
+    @pytest.mark.parametrize("resolution", [5.0, 2.0])
+    def test_matches_brute_force_scan(self, resolution):
+        angles, s = experiments.chsh_quantum_max(resolution)
+        ref_angles, ref_s = brute_force_quantum_max(resolution)
+        assert angles == ref_angles
+        assert s == ref_s
+
     def test_coarse_grid(self):
         _, s = experiments.chsh_quantum_max(5.0)
         assert abs(abs(s) - 2.0 * np.sqrt(2.0)) < 0.01
@@ -97,6 +141,11 @@ class TestChshQuantumMax:
     def test_rejects_coarse_resolution(self):
         with pytest.raises(ValueError):
             experiments.chsh_quantum_max(10.0)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan])
+    def test_rejects_empty_or_undefined_grid(self, resolution):
+        with pytest.raises(ValueError):
+            experiments.chsh_quantum_max(resolution)
 
     def test_grid_value_matches_exact_statistic(self):
         angles, s = experiments.chsh_quantum_max(5.0)

@@ -5,7 +5,23 @@ from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
 from avq import inference
-from avq.errors import ZeroEvidence
+from avq.errors import BadDistribution, NotFinite, ZeroEvidence
+
+
+class TestDiscretePrior:
+    def test_rejects_nan_weight(self):
+        with pytest.raises(BadDistribution):
+            inference.DiscretePrior([0.0, 1.0], [np.nan, 1.0])
+
+    def test_rejects_nan_value(self):
+        with pytest.raises(NotFinite):
+            inference.DiscretePrior([np.nan, 1.0], [0.5, 0.5])
+
+
+def test_std_normal_cdf_matches_scipy():
+    x = np.linspace(-8.0, 8.0, 3201)
+    phi = np.array([inference._std_normal_cdf(v) for v in x])
+    assert np.max(np.abs(phi - norm.cdf(x))) <= 5e-16
 
 
 class TestBayesPosterior:

@@ -22,6 +22,16 @@ def binary_model():
         [0.0, 1.0], (0, 1), [[0.8, 0.2], [0.2, 0.8]])
 
 
+def test_empty_povm_rejected():
+    with pytest.raises(BadDistribution):
+        measurement.Povm(())
+
+
+def test_empty_instrument_rejected():
+    with pytest.raises(BadDistribution):
+        measurement.KrausInstrument(())
+
+
 class TestStatisticalModel:
     def test_column_normalization_enforced(self):
         with pytest.raises(BadDistribution):

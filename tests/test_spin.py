@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avq import hilbert, spin
+from avq.errors import NotFinite
 
 
 def random_direction(rng):
@@ -94,6 +95,8 @@ class TestComponentOperator:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             spin.component_operator(1, [1.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            spin.component_operator(1, [np.nan, 0.0, 1.0])
 
 
 class TestCoherentState:
@@ -150,10 +153,21 @@ class TestParseSpin:
         with pytest.raises(ValueError):
             spin.parse_spin("-1")
 
+    @pytest.mark.parametrize("text", ["1/0", "inf", "nan", "1/inf", "1e308",
+                                      "1/2/3", "1/", "x"])
+    def test_rejects_non_finite_and_malformed(self, text):
+        with pytest.raises(ValueError):
+            spin.parse_spin(text)
+
 
 def test_unit_rejects_zero():
     with pytest.raises(ValueError):
         spin.unit([0.0, 0.0, 0.0])
+
+
+def test_unit_rejects_nan():
+    with pytest.raises(NotFinite):
+        spin.unit([np.nan, 0.0, 1.0])
 
 
 def test_rotation_matrix_orthogonal(rng):

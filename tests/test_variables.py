@@ -59,6 +59,25 @@ class TestOperatorOf:
                 assert np.max(np.abs(back.projectors[j]
                                      - v.projectors[order[k]])) < 1e-7
 
+    def test_near_degenerate_spectrum_builds(self):
+        # 0 and 0.9e-8 merge; 1.05e-8 is more than the merge tolerance
+        # above the level's first eigenvalue, so it starts a level of its own
+        v = variables.AccessibleVariable.from_operator(
+            "x", np.diag([0.0, 0.9e-8, 1.05e-8]))
+        assert v.values.tolist() == [0.0, 1.05e-8]
+        assert v.ranks().tolist() == [2, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 3e-8), min_size=1, max_size=12),
+       st.floats(-2.0, 2.0))
+def test_eig_levels_always_build_a_variable(gaps, offset):
+    """Whatever eig_hermitian merges, its levels make a valid variable."""
+    w = offset + np.cumsum([0.0] + gaps)
+    v = variables.AccessibleVariable.from_operator("h", np.diag(w))
+    assert v.ranks().sum() == len(w)
+    assert (np.diff(v.values) > variables.VALUE_GAP_TOL).all()
+
 
 class TestDerivedVariable:
     def test_identity(self):
