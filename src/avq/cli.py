@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,15 +28,54 @@ def _parse_triple(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# Size caps, so that an allocation too large to succeed is a usage error:
+# `spin --check` holds about ten (2r + 1)^2 complex matrices, and the sphere
+# quadrature holds order^2 coherent states of dimension at most order - 1
+# (128^2 x 127 complex numbers, 33 MB).
+MAX_TWO_R = 200
+MAX_RESOLUTION_ORDER = 128
+
+
 def _parse_spin(text):
     try:
-        return spin.parse_spin(text)
+        two_r = spin.parse_spin(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if two_r > MAX_TWO_R:
+        raise argparse.ArgumentTypeError(
+            f"spin {text!r} exceeds the cap r <= {MAX_TWO_R // 2}")
+    return two_r
+
+
+def _int_in(low, high=None):
+    """An argparse type for integers in [low, high] (no upper cap if None)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _int_in(1)
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_angles(text):
-    parts = [float(x) for x in text.split(",")]
+    parts = [_finite_float(x) for x in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected a,a',b,b' in degrees")
     return parts
@@ -43,7 +83,7 @@ def _parse_angles(text):
 
 def _emit(report: dict, fmt: str, out=None):
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif fmt == "plain":
         lines = []
 
@@ -88,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spin, e.g. 1, 1/2, 3/2")
     sp.add_argument("--check", action="store_true",
                     help="commutation/Casimir/rotation-sign residuals")
-    sp.add_argument("--resolution-order", type=int, default=None,
+    sp.add_argument("--resolution-order", default=None,
+                    type=_int_in(1, MAX_RESOLUTION_ORDER),
                     help="sphere quadrature order for the identity resolution")
     sp.add_argument("--component", type=_parse_triple, default=None,
                     help="direction x,y,z for a component spectrum")
@@ -98,22 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_parse_triple, default=None)
     sp.add_argument("--b", type=_parse_triple, default=None)
     sp.add_argument("--sign", type=int, choices=[1, -1], default=1)
-    sp.add_argument("--crossval", type=int, default=None,
+    sp.add_argument("--crossval", type=_count, default=None,
                     help="closed form vs abstract route on N random direction pairs")
     common(sp)
 
     sp = sub.add_parser("chsh", help="singlet trial simulation and bounds")
     sp.add_argument("--angles", type=_parse_angles, default=None,
                     help="a,a',b,b' in degrees")
-    sp.add_argument("--n", type=int, default=None, help="number of trials")
+    sp.add_argument("--n", type=_count, default=None, help="number of trials")
     sp.add_argument("--classical-max", action="store_true")
     sp.add_argument("--quantum-max", action="store_true")
-    sp.add_argument("--resolution", type=float, default=1.0,
+    sp.add_argument("--resolution", type=_finite_float, default=1.0,
                     help="grid resolution in degrees for --quantum-max")
     common(sp)
 
     sp = sub.add_parser("medical", help="four-treatment comparison")
-    sp.add_argument("--n", type=int, default=None, help="Monte Carlo samples")
+    sp.add_argument("--n", type=_count, default=None, help="Monte Carlo samples")
     common(sp)
 
     sp = sub.add_parser("measure", help="POVM / Kraus checks")
@@ -121,15 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variable", default=None, help="accessible variable JSON file")
     sp.add_argument("--x", default=None, help="observed sample point label")
     sp.add_argument("--state", default=None, help="density operator JSON file")
-    sp.add_argument("--random-check", type=int, default=None,
+    sp.add_argument("--random-check", type=_count, default=None,
                     help="POVM/Kraus/Bayes consistency on N random cases")
     common(sp)
 
     sp = sub.add_parser("inference", help="classical inference experiments")
     sp.add_argument("--op", choices=["prop2"], required=True)
-    sp.add_argument("--c1", type=float, default=None)
-    sp.add_argument("--c2", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--c1", type=_finite_float, default=None)
+    sp.add_argument("--c2", type=_finite_float, default=None)
+    sp.add_argument("--n", type=_count, default=None)
     common(sp)
 
     return p

@@ -1,10 +1,14 @@
 """Finite groups acting on finite variable spaces.
 
 Groups are Cayley tables over element indices; actions are lookup tables
-(element, point) -> point.  Everything is small enough that the defining
-identities (Latin square, associativity of the action, permissibility,
-induced-action homomorphism, measure invariance) are verified by
-exhaustive enumeration.
+(element, point) -> point.  The defining identities are checked on whole
+tables: a Cayley table t is a Latin square (every sorted row and column is
+0..n-1) with one two-sided identity e and inverses inv[i] such that
+t[i, inv[i]] = t[inv[i], i] = e; an action table a obeys a[e] = id and
+a[g, a[h]] = a[t[g, h]] for all g, h at once.  theta is permissible when
+every element maps each fibre of theta into one fibre, which is checked
+by comparing theta(k x) with theta(k rep(x)), rep(x) being the first
+point of x's fibre.
 """
 
 from __future__ import annotations
@@ -35,21 +39,17 @@ class FiniteGroup:
         if t.shape != (n, n):
             raise ValueError("Cayley table must be square")
         full = np.arange(n)
-        for i in range(n):
-            if not (np.array_equal(np.sort(t[i]), full)
-                    and np.array_equal(np.sort(t[:, i]), full)):
-                raise ValueError("Cayley table is not a Latin square")
-        ident = [i for i in range(n)
-                 if np.array_equal(t[i], full) and np.array_equal(t[:, i], full)]
+        if not ((np.sort(t, 0) == full[:, None]).all()
+                and (np.sort(t, 1) == full).all()):
+            raise ValueError("Cayley table is not a Latin square")
+        ident = np.flatnonzero((t == full).all(1) & (t == full[:, None]).all(0))
         if len(ident) != 1:
             raise ValueError("Cayley table has no unique identity")
-        object.__setattr__(self, "_identity", ident[0])
-        inv = np.empty(n, dtype=int)
-        for i in range(n):
-            js = np.nonzero(t[i] == ident[0])[0]
-            if len(js) != 1 or t[js[0], i] != ident[0]:
-                raise ValueError("inverses inconsistent with the table")
-            inv[i] = js[0]
+        e = int(ident[0])
+        object.__setattr__(self, "_identity", e)
+        inv = np.argmax(t == e, 1)  # the one e in each row of a Latin square
+        if not (t[inv, full] == e).all():
+            raise ValueError("inverses inconsistent with the table")
         object.__setattr__(self, "_inverse", inv)
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal group order")
@@ -84,7 +84,7 @@ class GroupAction:
 
     ``table[g, x]`` is the image point index.  The identity and
     compatibility laws act(e, x) = x and act(g, act(h, x)) = act(g h, x)
-    are checked exhaustively on construction.
+    are checked on construction, the latter as one (n, n, p) comparison.
     """
 
     group: FiniteGroup
@@ -100,10 +100,8 @@ class GroupAction:
             raise ValueError(f"action table shape {t.shape} != ({n}, {p})")
         if not np.array_equal(t[self.group.identity], np.arange(p)):
             raise ValueError("identity element does not act trivially")
-        for g in range(n):
-            for h in range(n):
-                if not np.array_equal(t[g, t[h]], t[self.group.mul(g, h)]):
-                    raise ValueError("action is not compatible with the product")
+        if not (np.take(t, t, axis=1) == np.take(t, self.group.cayley, axis=0)).all():
+            raise ValueError("action is not compatible with the product")
 
     def act(self, g: int, x: int) -> int:
         return int(self.table[g, x])
@@ -120,35 +118,46 @@ def group_from_permutations(perms, space) -> GroupAction:
 
     ``perms`` are sequences with perm[x] = image point index.  The returned
     action's group is the generated permutation group (elements ordered by
-    discovery, identity first).
+    discovery, identity first): breadth first, each frontier element e
+    followed by g o e for the generators g in order.
     """
     space = tuple(space)
     p = len(space)
-    ident = tuple(range(p))
     gens = [tuple(int(i) for i in perm) for perm in perms]
     for g in gens:
         if sorted(g) != list(range(p)):
             raise ValueError(f"{g} is not a permutation of {p} points")
-    elems = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = tuple(g[e[x]] for x in range(p))
-                if h not in seen:
-                    seen.add(h)
-                    elems.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    index = {e: k for k, e in enumerate(elems)}
-    n = len(elems)
+    ngen = len(gens)
+    gen = np.array(gens, dtype=np.min_scalar_type(max(p - 1, 0))).reshape(ngen, p)
+    frontier = np.arange(p, dtype=gen.dtype)[None, :]
+    index = {frontier[0].tobytes(): 0}  # element row bytes -> element index
+    elems, hits, levels = [frontier], [], [0, 1]
+    found = [(0, 0)]  # element j = gen[via] o elems[parent] as (parent, via)
+    while len(frontier):
+        # (element, generator) order: row i * ngen + k is gen[k] o frontier[i]
+        cand = gen[:, frontier].swapaxes(0, 1).reshape(len(frontier) * ngen, p)
+        new = []
+        for i, row in enumerate(cand):
+            key = row.tobytes()
+            if key not in index:
+                index[key] = len(index)
+                new.append(i)
+                found.append((levels[-2] + i // ngen, i % ngen))
+            hits.append(index[key])
+        frontier = cand[new]
+        elems.append(frontier)
+        levels.append(len(index))
+    n = len(index)
+    left = np.array(hits, dtype=int).reshape(n, ngen)  # index of gen[k] o elems[j]
+    parent, via = np.array(found).T
+    # row j of the Cayley table is row parent[j] carried through left[:, via[j]];
+    # the parents of one BFS level all sit in the level before it
     cayley = np.empty((n, n), dtype=int)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            cayley[i, j] = index[tuple(a[b[x]] for x in range(p))]
-    return GroupAction(FiniteGroup(cayley), space, np.array(elems, dtype=int))
+    cayley[0] = np.arange(n)
+    for lo, hi in zip(levels[1:], levels[2:]):
+        cayley[lo:hi] = left[cayley[parent[lo:hi]], via[lo:hi, None]]
+    elems = np.concatenate(elems)
+    return GroupAction(FiniteGroup(cayley), space, elems.astype(int))
 
 
 @dataclass(frozen=True)
@@ -190,34 +199,33 @@ def _require_same_space(theta: VariableMap, action: GroupAction):
         raise SpaceMismatch("variable domain differs from action space")
 
 
-def check_permissible(theta: VariableMap, action: GroupAction) -> bool:
-    """theta(x1) = theta(x2) must imply theta(k x1) = theta(k x2) for all k."""
+def _fibre_representatives(theta: VariableMap) -> np.ndarray:
+    """rep[v]: the first point x with theta(x) = v."""
+    return np.unique(theta.index_map, return_index=True)[1]
+
+
+def _keeps_fibres(theta: VariableMap, action: GroupAction) -> np.ndarray:
+    """Per element k: whether theta(k x) depends on x only through theta(x)."""
     _require_same_space(theta, action)
     m = theta.index_map
-    p = len(theta.domain)
-    for x1 in range(p):
-        for x2 in range(x1 + 1, p):
-            if m[x1] != m[x2]:
-                continue
-            if np.any(m[action.table[:, x1]] != m[action.table[:, x2]]):
-                return False
-    return True
+    images = m[action.table]  # images[k, x] = theta(k x)
+    return (images == images[:, _fibre_representatives(theta)[m]]).all(1)
+
+
+def check_permissible(theta: VariableMap, action: GroupAction) -> bool:
+    """theta(x1) = theta(x2) must imply theta(k x1) = theta(k x2) for all k."""
+    return bool(_keeps_fibres(theta, action).all())
 
 
 def induce_action(theta: VariableMap, action: GroupAction) -> GroupAction:
     """Descend a permissible action through theta to the value space.
 
     The returned table realizes (g theta)(x) := theta(k x); the homomorphism
-    law holds by the exhaustive compatibility check in GroupAction.
+    law holds by the whole-table compatibility check in GroupAction.
     """
     if not check_permissible(theta, action):
         raise NotPermissible("variable is not permissible under this action")
-    m = theta.index_map
-    nvals = len(theta.codomain)
-    rep = np.empty(nvals, dtype=int)  # one preimage point per value
-    for v in range(nvals):
-        rep[v] = int(np.nonzero(m == v)[0][0])
-    table = m[action.table[:, rep]]
+    table = theta.index_map[action.table[:, _fibre_representatives(theta)]]
     return GroupAction(action.group, theta.codomain, table)
 
 
@@ -227,32 +235,19 @@ def maximal_permissible_subgroup(theta: VariableMap, action: GroupAction) -> Fin
     Elements h for which theta(h x) depends on x only through theta(x).
     The result's ``labels`` are the element indices in the parent group.
     """
-    _require_same_space(theta, action)
-    m = theta.index_map
-    p = len(theta.domain)
-    members = []
-    for h in range(action.group.order):
-        ok = all(m[action.table[h, x1]] == m[action.table[h, x2]]
-                 for x1 in range(p) for x2 in range(x1 + 1, p)
-                 if m[x1] == m[x2])
-        if ok:
-            members.append(h)
-    index = {h: k for k, h in enumerate(members)}
-    n = len(members)
-    cayley = np.empty((n, n), dtype=int)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            c = action.group.mul(a, b)
-            if c not in index:
-                raise AssertionError("permissible elements are not closed")
-            cayley[i, j] = index[c]
-    return FiniteGroup(cayley, labels=tuple(members))
+    members = np.flatnonzero(_keeps_fibres(theta, action))
+    pos = np.full(action.group.order, -1)  # parent index -> subgroup index
+    pos[members] = np.arange(len(members))
+    cayley = pos[action.group.cayley[np.ix_(members, members)]]
+    if (cayley < 0).any():
+        raise AssertionError("permissible elements are not closed")
+    return FiniteGroup(cayley, labels=tuple(members.tolist()))
 
 
 def restrict_action(action: GroupAction, subgroup: FiniteGroup) -> GroupAction:
     """Action of a labeled subgroup (as built above) on the same space."""
-    rows = [action.table[h] for h in subgroup.labels]
-    return GroupAction(subgroup, action.space, np.array(rows, dtype=int))
+    return GroupAction(subgroup, action.space,
+                       action.table[np.asarray(subgroup.labels, dtype=int)])
 
 
 @dataclass(frozen=True)
@@ -278,12 +273,8 @@ def refines(beta: VariableMap, alpha: VariableMap) -> bool:
     """True iff alpha factors through beta (alpha = f(beta))."""
     if beta.domain != alpha.domain:
         raise SpaceMismatch("variable maps must share a domain")
-    fiber_image = {}
-    for x in range(len(beta.domain)):
-        b, a = beta(x), alpha(x)
-        if fiber_image.setdefault(b, a) != a:
-            return False
-    return True
+    a = alpha.index_map
+    return bool((a == a[_fibre_representatives(beta)[beta.index_map]]).all())
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import (BadDistribution, NotDiagonal, ValueMismatch,
-                     ZeroProbabilityBranch)
+from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotFinite,
+                     ValueMismatch, ZeroProbabilityBranch)
 from .variables import AccessibleVariable
 
 MODEL_TOL = 1e-10
@@ -38,8 +38,10 @@ class StatisticalModel:
         object.__setattr__(self, "sample_points", tuple(self.sample_points))
         object.__setattr__(self, "likelihood", lik)
         if lik.shape != (len(self.sample_points), len(vals)):
-            raise ValueError(f"likelihood shape {lik.shape} does not match "
-                             f"{len(self.sample_points)} samples x {len(vals)} values")
+            raise DimMismatch(f"likelihood shape {lik.shape} does not match "
+                              f"{len(self.sample_points)} samples x {len(vals)} values")
+        if not (np.isfinite(vals).all() and np.isfinite(lik).all()):
+            raise NotFinite("parameter values and likelihoods must be finite")
         if np.any(lik < -MODEL_TOL) or np.any(lik > 1.0 + MODEL_TOL):
             raise BadDistribution("likelihood entries must lie in [0, 1]")
         colsums = lik.sum(axis=0)

@@ -113,31 +113,35 @@ def component_operator(two_r: int, a) -> np.ndarray:
     return spin_operators(two_r).along(a)
 
 
-def coherent_state(two_r: int, a) -> np.ndarray:
-    """Lowest-weight state for the direction a.
+def coherent_states(two_r: int, dirs) -> np.ndarray:
+    """Rows: the lowest-weight states of the unit directions in ``dirs``.
 
-    Rotating the reference vector |r;-r> (the -r eigenvector of the z
-    component) along the geodesic from z to a yields the eigenvector of
-    the a component with eigenvalue -r; that eigenvalue property is the
-    contract the tests pin.  The global phase is fixed by making the first
-    nonzero amplitude real positive.
+    For a = (sin t cos f, sin t sin f, cos t) the eigenvector of the a
+    component with eigenvalue -r has, at basis index k (m = r - k), the
+    amplitude sqrt(C(2r, k)) sin(t/2)^(2r-k) cos(t/2)^k (-e^(if))^k
+    (Radcliffe 1971; Arecchi, Courtens, Gilmore and Thomas 1972).  No
+    global phase is fixed here.  The binomials are exact floats, which
+    holds up to 2r = 1020.
     """
-    av = as_direction(a)
-    d = two_r + 1
-    lowest = np.zeros(d, dtype=complex)
-    lowest[-1] = 1.0
-    z = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(av, z)
-    nrm = np.linalg.norm(axis)
-    if nrm < 1e-14:
-        if av[2] > 0:  # a = +z: nothing to do
-            return _canonical_phase(lowest)
-        axis = np.array([1.0, 0.0, 0.0])  # a = -z: rotate by pi about x
-    else:
-        axis = axis / nrm
-    angle = np.arccos(np.clip(av[2], -1.0, 1.0))
-    u = rotation(two_r, axis, angle)
-    return _canonical_phase(u @ lowest)
+    a = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    hilbert.require(np.abs(np.linalg.norm(a, axis=1) - 1.0).max(initial=0.0),
+                    DIRECTION_TOL, ValueError, "direction |norm - 1|")
+    k = np.arange(two_r + 1)
+    half = np.arctan2(np.hypot(a[:, :1], a[:, 1:2]), a[:, 2:]) / 2.0
+    binom = np.array([math.comb(two_r, j) for j in k], dtype=float)
+    phase = np.exp(1j * (np.arctan2(a[:, 1:2], a[:, :1]) + np.pi) * k)
+    return np.sqrt(binom) * np.sin(half) ** (two_r - k) * np.cos(half) ** k * phase
+
+
+def coherent_state(two_r: int, a) -> np.ndarray:
+    """Lowest-weight state for the direction a, in the closed form above.
+
+    It is the eigenvector of the a component with eigenvalue -r, the image
+    of |r;-r> under the rotation taking z to a; that eigenvalue property is
+    the contract the tests pin.  The global phase is fixed by making the
+    first amplitude above 1e-12 in modulus real positive.
+    """
+    return _canonical_phase(coherent_states(two_r, as_direction(a))[0])
 
 
 def _canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -152,7 +156,8 @@ def resolution_deviation(two_r: int, order: int) -> float:
     """Max-norm deviation of (d/4pi) * integral |a><a| dOmega from I.
 
     Product quadrature: Gauss-Legendre in cos(theta), uniform azimuth
-    (trapezoid, exact for the trigonometric polynomials involved).
+    (trapezoid, exact for the trigonometric polynomials involved); all
+    order^2 nodes enter one product A^T diag(w) conj(A).
     """
     d = two_r + 1
     if d == 1:
@@ -161,14 +166,11 @@ def resolution_deviation(two_r: int, order: int) -> float:
         raise ValueError(f"quadrature order {order} < 2r+2 = {two_r + 2}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     phis = 2.0 * np.pi * np.arange(order) / order
-    acc = np.zeros((d, d), dtype=complex)
-    for c, w in zip(nodes, weights):
-        s = np.sqrt(1.0 - c * c)
-        for phi in phis:
-            a = np.array([s * np.cos(phi), s * np.sin(phi), c])
-            v = coherent_state(two_r, a)
-            acc += w * np.outer(v, np.conj(v))
-    acc *= (2.0 * np.pi / order) * d / (4.0 * np.pi)
+    c, phi = np.repeat(nodes, order), np.tile(phis, order)
+    s = np.sqrt(1.0 - c * c)
+    amps = coherent_states(two_r, np.stack([s * np.cos(phi), s * np.sin(phi), c], 1))
+    w = np.repeat(weights, order) * (2.0 * np.pi / order) * d / (4.0 * np.pi)
+    acc = (amps.T * w) @ amps.conj()
     return float(np.max(np.abs(acc - np.eye(d))))
 
 

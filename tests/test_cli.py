@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from avq import cli
+
 
 def run_cli(*args, check=False):
     proc = subprocess.run([sys.executable, "-m", "avq.cli", *args],
@@ -221,6 +223,55 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+class TestFlagTypes:
+    @pytest.mark.parametrize("args", [
+        ("born", "--crossval", "-1", "--seed", "1"),
+        ("measure", "--random-check", "-2", "--seed", "1"),
+        ("medical", "--n", "0", "--seed", "1"),
+        ("chsh", "--angles", "0,90,45,135", "--n", "-5", "--seed", "1"),
+        ("inference", "--op", "prop2", "--c1", "-1", "--c2", "1", "--n", "0",
+         "--seed", "1"),
+        ("spin", "--r", "1", "--resolution-order", "0"),
+        ("spin", "--r", "1", "--resolution-order", "2.5"),
+    ])
+    def test_count_must_be_positive_int(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(args)
+        assert exc.value.code == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("spin", "--r", "100000", "--check"),
+        ("spin", "--r", str(cli.MAX_TWO_R // 2 + 1)),
+        ("spin", "--r", "1", "--resolution-order", str(cli.MAX_RESOLUTION_ORDER + 1)),
+    ])
+    def test_size_caps_are_usage_errors(self, args, capsys):
+        # parsing only: the cap stops the run before anything is allocated
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(args)
+        assert exc.value.code == 2
+        assert cli.build_parser().parse_args(
+            ["spin", "--r", str(cli.MAX_TWO_R // 2), "--resolution-order",
+             str(cli.MAX_RESOLUTION_ORDER)]).r == cli.MAX_TWO_R
+
+    def test_large_spin_exits_2_without_traceback(self):
+        proc = run_cli("spin", "--r", "100000", "--check")
+        assert proc.returncode == 2
+        assert "argument --r" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("c1,c2", [("nan", "1"), ("1", "inf"), ("-inf", "1")])
+    def test_prop2_bounds_must_be_finite(self, c1, c2):
+        proc = run_cli("inference", "--op", "prop2", f"--c1={c1}", f"--c2={c2}",
+                       "--n", "100", "--seed", "1")
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr and proc.stdout == ""
+
+    def test_json_output_rejects_non_finite(self, capsys):
+        with pytest.raises(ValueError):
+            cli._emit({"x": float("nan")}, "json")
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:

@@ -241,3 +241,125 @@ class TestSerialization:
         assert back.space == act.space
         assert np.array_equal(back.table, act.table)
         assert np.array_equal(back.group.cayley, act.group.cayley)
+
+
+# Reference: the element-by-element closure and pairwise fibre loops that the
+# whole-table code replaced, kept to pin its tables exactly.
+
+def reference_closure(perms, p):
+    """Tuple BFS (identity first, frontier by frontier, g o e per generator)."""
+    ident = tuple(range(p))
+    gens = [tuple(perm) for perm in perms]
+    elems, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                h = tuple(g[e[x]] for x in range(p))
+                if h not in seen:
+                    seen.add(h)
+                    elems.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    index = {e: k for k, e in enumerate(elems)}
+    cayley = [[index[tuple(map(a.__getitem__, b))] for b in elems] for a in elems]
+    return {"order": len(elems), "cayley": cayley, "space": list(range(p)),
+            "action": [list(e) for e in elems]}
+
+
+def reference_permissible_members(m, table):
+    p = len(m)
+    return [h for h in range(len(table))
+            if all(m[table[h][x1]] == m[table[h][x2]]
+                   for x1 in range(p) for x2 in range(x1 + 1, p)
+                   if m[x1] == m[x2])]
+
+
+def assert_matches_reference(gens, p, maps=()):
+    act = groups.group_from_permutations(gens, range(p))
+    ref = reference_closure(gens, p)
+    assert groups.action_to_dict(act) == ref
+    assert act.group.cayley.dtype == int and act.table.dtype == int
+    e = act.group.identity
+    assert e == 0
+    for i in range(act.group.order):
+        j = act.group.inverse(i)
+        assert ref["cayley"][i][j] == ref["cayley"][j][i] == e
+    for m in maps:
+        theta = groups.VariableMap(tuple(range(p)), tuple(range(max(m) + 1)), m)
+        members = reference_permissible_members(m, ref["action"])
+        assert groups.check_permissible(theta, act) == (len(members) == ref["order"])
+        sub = groups.maximal_permissible_subgroup(theta, act)
+        assert sub.labels == tuple(members)
+        pos = {h: k for k, h in enumerate(members)}
+        assert sub.cayley.tolist() == [[pos[ref["cayley"][a][b]] for b in members]
+                                       for a in members]
+        restricted = groups.restrict_action(act, sub)
+        assert restricted.table.tolist() == [ref["action"][h] for h in members]
+        if len(members) == ref["order"]:
+            rep = [m.index(v) for v in range(max(m) + 1)]
+            induced = groups.induce_action(theta, act)
+            assert induced.table.tolist() == [[m[row[x]] for x in rep]
+                                              for row in ref["action"]]
+
+
+def symmetric_generators(n):
+    return [[*range(1, n), 0], [1, 0, *range(2, n)]]
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_symmetric(self, n):
+        maps = [[0] * n, list(range(n)), [0, 0] + list(range(1, n - 1)),
+                [x % 2 for x in range(n)]]
+        assert_matches_reference(symmetric_generators(n), n, maps)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_cyclic(self, d):
+        maps = [[x % k for x in range(d)] for k in (1, 2, 3) if k <= d]
+        assert_matches_reference([[*range(1, d), 0]], d, maps)
+        assert np.array_equal(
+            groups.group_from_permutations([[*range(1, d), 0]], range(d)).table,
+            [[(x + k) % d for x in range(d)] for k in range(d)])
+
+    def test_symmetric_on_ordered_pairs(self):
+        pairs = [(x, y) for x in range(5) for y in range(5) if x != y]
+        index = {pair: k for k, pair in enumerate(pairs)}
+        gens = [[index[g[x], g[y]] for x, y in pairs]
+                for g in symmetric_generators(5)]
+        assert_matches_reference(gens, len(pairs),
+                                 [[x for x, _ in pairs], [y for _, y in pairs]])
+
+    def test_no_generators_and_empty_space(self):
+        assert_matches_reference([], 3)
+        act = groups.group_from_permutations([[]], ())
+        assert act.group.cayley.tolist() == [[0]] and act.table.shape == (1, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.permutations(range(p)), max_size=3),
+    st.lists(st.integers(0, 2), min_size=p, max_size=p))))
+def test_closure_matches_reference_property(case):
+    p, gens, raw = case
+    m = np.unique(raw, return_inverse=True)[1].tolist()
+    assert_matches_reference(gens, p, [m])
+
+
+class TestWholeTableRejections:
+    def test_non_latin_column(self):
+        with pytest.raises(ValueError, match="Latin"):
+            groups.FiniteGroup(np.array([[0, 1, 2], [1, 2, 0], [1, 0, 2]]))
+
+    def test_inconsistent_inverse(self):
+        # a Latin square with identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
+        loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                         [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]])
+        with pytest.raises(ValueError, match="inverses"):
+            groups.FiniteGroup(loop)
+
+    def test_compatibility_breaking_action(self):
+        g = groups.FiniteGroup.cyclic(2)
+        with pytest.raises(ValueError, match="compatible"):
+            groups.GroupAction(g, ("x", "y", "z"), np.array([[0, 1, 2], [1, 2, 0]]))

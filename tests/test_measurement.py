@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from avq import hilbert, measurement, variables
-from avq.errors import (BadDistribution, NotDiagonal, ValueMismatch,
-                        ZeroProbabilityBranch)
+from avq.errors import (BadDistribution, DimMismatch, DomainError, NotDiagonal,
+                        NotFinite, ValueMismatch, ZeroProbabilityBranch)
 
 from conftest import (random_density, random_diagonal_instrument,
                       random_instrument, random_maximal_variable, random_model,
@@ -37,6 +37,18 @@ class TestStatisticalModel:
         with pytest.raises(BadDistribution):
             measurement.StatisticalModel([0.0, 1.0], (0, 1),
                                          [[0.8, 0.3], [0.2, 0.8]])
+
+    @pytest.mark.parametrize("values,lik,error", [
+        ([0, 1], [[np.nan, 0.5], [0.5, 0.5]], NotFinite),
+        ([0, 1], [[np.inf, 0.5], [0.5, 0.5]], NotFinite),
+        ([0, np.nan], [[0.5, 0.5], [0.5, 0.5]], NotFinite),
+        ([0, 1], [[0.5, 0.5]], DimMismatch),
+        ([0, 1, 2], [[0.5, 0.5], [0.5, 0.5]], DimMismatch),
+    ])
+    def test_rejects_non_finite_and_wrong_shape(self, values, lik, error):
+        with pytest.raises(error):
+            measurement.StatisticalModel(values, (0, 1), lik)
+        assert issubclass(error, DomainError)
 
     def test_unknown_sample_point(self):
         with pytest.raises(ValueMismatch):

@@ -125,12 +125,64 @@ class TestCoherentState:
         assert abs(np.vdot(v1, v2)) < 1e-10
 
 
+def rotation_route_coherent_state(two_r, a):
+    """Reference: rotate |r;-r> along the geodesic from z to a, then fix the
+    phase (the construction the closed form replaced)."""
+    av = spin.as_direction(a)
+    lowest = np.zeros(two_r + 1, dtype=complex)
+    lowest[-1] = 1.0
+    axis = np.cross(av, [0.0, 0.0, 1.0])
+    nrm = np.linalg.norm(axis)
+    if nrm < 1e-14:
+        if av[2] > 0:
+            return spin._canonical_phase(lowest)
+        axis = np.array([1.0, 0.0, 0.0])
+    else:
+        axis = axis / nrm
+    u = spin.rotation(two_r, axis, np.arccos(np.clip(av[2], -1.0, 1.0)))
+    return spin._canonical_phase(u @ lowest)
+
+
+class TestClosedFormMatchesRotationRoute:
+    def test_projectors_and_phase(self, rng):
+        for two_r in range(41):
+            dirs = [random_direction(rng) for _ in range(8)]
+            dirs += [np.array(a, dtype=float) for a in
+                     ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -1, 0])]
+            for a in dirs:
+                v, ref = spin.coherent_state(two_r, a), rotation_route_coherent_state(two_r, a)
+                assert np.max(np.abs(np.outer(v, v.conj())
+                                     - np.outer(ref, ref.conj()))) < 1e-12
+                # below a 1e-6 leading amplitude the reference phase is rounding noise
+                if np.abs(ref)[np.abs(ref) > 1e-12][0] > 1e-6:
+                    assert np.max(np.abs(v - ref)) < 1e-9
+
+    def test_rows_are_the_states(self, rng):
+        dirs = np.array([random_direction(rng) for _ in range(20)])
+        rows = spin.coherent_states(5, dirs)
+        assert rows.shape == (20, 6)
+        for row, a in zip(rows, dirs):
+            assert np.max(np.abs(spin._canonical_phase(row)
+                                 - spin.coherent_state(5, a))) < 1e-15
+
+    def test_rejects_non_unit(self):
+        with pytest.raises(ValueError):
+            spin.coherent_states(2, [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError):
+            spin.coherent_states(2, [[np.nan, 0.0, 1.0]])
+
+
 class TestResolutionDeviation:
     def test_half_order_16(self):
         assert spin.resolution_deviation(1, 16) < 1e-10
 
     def test_spin_two_order_32(self):
         assert spin.resolution_deviation(4, 32) < 1e-8
+
+    @pytest.mark.parametrize("two_r,order", [(1, 16), (4, 32), (1, 24), (2, 24),
+                                             (3, 24), (4, 24), (20, 24), (40, 48)])
+    def test_resolves_identity(self, two_r, order):
+        assert spin.resolution_deviation(two_r, order) < 1e-12
 
     def test_trivial(self):
         assert spin.resolution_deviation(0, 1) == 0.0
