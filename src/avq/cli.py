@@ -62,6 +62,7 @@ def _int_in(low, high=None):
 
 
 _count = _int_in(1)
+_seed = _int_in(0)
 
 
 def _finite_float(text):
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=["json", "csv", "plain"], default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_seed, default=None)
         sp.add_argument("--config", default=None,
                         help="JSON object of flag defaults; explicit flags win")
         sp.set_defaults(subparser=sp)
@@ -292,9 +293,8 @@ def _cmd_measure(args, parser):
                 "v", np.arange(d, dtype=float),
                 tuple(np.outer(e, e).astype(complex) for e in np.eye(d)))
             povm = measurement.povm_of_model(model, var)
-            total = sum(povm.effects)
             povm_worst = max(povm_worst, float(np.max(np.abs(
-                total - hilbert.identity(d)))))
+                povm.effects.sum(0) - hilbert.identity(d)))))
             amp = np.sqrt(lik)
             inst = measurement.KrausInstrument(
                 tuple(np.diag(amp[k]).astype(complex) for k in range(nx)))

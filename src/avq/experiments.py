@@ -93,39 +93,51 @@ _TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la in SETTING_LABELS_A
                for lb in SETTING_LABELS_B for oa in born.OUTCOMES for ob in born.OUTCOMES]
 
 
+# Outcome signs of a joint-law cell, OUTCOMES-major: cell 2i + j is
+# (OUTCOMES[i], OUTCOMES[j]).
+_CELL_A = np.repeat(np.array(born.OUTCOMES, dtype=int), 2)
+_CELL_B = np.tile(np.array(born.OUTCOMES, dtype=int), 2)
+
+
 def chsh_simulate(cfg: ChshConfig) -> ChshRun:
     """Run seeded trials and estimate each correlation conditionally.
 
     Settings are drawn independently and uniformly per trial (the ancillary
     randomization both observers condition on); outcomes come from the
     exact singlet joint law at the realized angle pair.
+
+    Sampling is table-driven: row 2 ia + ib of one (4, 4) table holds the
+    cumulative joint law of setting pair (ia, ib), and a trial with uniform
+    draw u lands in cell k, the count of the first three entries of its row
+    that are <= u (inverse-CDF sampling; the last entry is 1 up to rounding,
+    so the count stops at 3).  Each correlation is (count - 2 neg) / count,
+    where neg counts the pair's trials in the cells of opposite signs.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_trials
     ia = rng.integers(0, 2, size=n)
     ib = rng.integers(0, 2, size=n)
     u = rng.random(n)
-    outcome_a = np.zeros(n, dtype=int)
-    outcome_b = np.zeros(n, dtype=int)
-    signs = np.array(born.OUTCOMES)
+    pairs = cfg.angles()
+    cdf = np.array([np.cumsum(born.singlet_joint(plane_direction(ang_a),
+                                                 plane_direction(ang_b)).ravel())
+                    for ang_a, ang_b in pairs.values()])
+    pair_code = (2 * ia + ib).astype(np.uint8)
+    cell = np.zeros(n, dtype=np.uint8)
+    for k in range(3):
+        cell += u >= np.take(cdf[:, k], pair_code)
+    del u
+    counts = np.bincount(4 * pair_code + cell, minlength=16).reshape(4, 4).tolist()
     correlations = {}
-    for (la, lb), (ang_a, ang_b) in cfg.angles().items():
-        mask = (ia == SETTING_LABELS_A.index(la)) & (ib == SETTING_LABELS_B.index(lb))
-        count = int(mask.sum())
-        joint = born.singlet_joint(plane_direction(ang_a), plane_direction(ang_b))
-        cdf = np.cumsum(joint.ravel())
-        cell = np.searchsorted(cdf, u[mask], side="right")
-        cell = np.minimum(cell, 3)
-        oa, ob = signs[cell // 2], signs[cell % 2]
-        outcome_a[mask] = oa
-        outcome_b[mask] = ob
+    for pair, (plus_plus, plus_minus, minus_plus, minus_minus) in zip(pairs, counts):
+        count = plus_plus + plus_minus + minus_plus + minus_minus
         if count > 0:
-            correlations[(la, lb)] = (float(np.mean(oa * ob)), count)
+            correlations[pair] = ((count - 2 * (plus_minus + minus_plus)) / count, count)
     if len(correlations) == 4:
         s = chsh_statistic({pair: est for pair, (est, _) in correlations.items()})
     else:
         s = None
-    return ChshRun(cfg, ia, ib, outcome_a, outcome_b, correlations, s)
+    return ChshRun(cfg, ia, ib, _CELL_A[cell], _CELL_B[cell], correlations, s)
 
 
 def chsh_exact_s(cfg: ChshConfig) -> float:

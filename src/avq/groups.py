@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPermissible, SpaceMismatch
+from .errors import NotPermissible, NotPermutation, SpaceMismatch
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ class GroupAction:
         n, p = self.group.order, len(self.space)
         if t.shape != (n, p):
             raise ValueError(f"action table shape {t.shape} != ({n}, {p})")
+        if ((t < 0) | (t >= p)).any():
+            raise NotPermutation(f"action table entries must be point indices 0..{p - 1}")
         if not np.array_equal(t[self.group.identity], np.arange(p)):
             raise ValueError("identity element does not act trivially")
         if not (np.take(t, t, axis=1) == np.take(t, self.group.cayley, axis=0)).all():

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for finite-dimensional operator work.
 
 Operators are square complex numpy arrays, states are unit-norm complex
-vectors.  All tolerances are module-level constants and can be overridden
-per call where it matters (eigenvalue merging, symmetry checks).
+vectors, and a family of n operators on C^d (POVM effects, Kraus
+operators) is one (n, d, d) stack.  All tolerances are module-level
+constants and can be overridden per call where it matters (eigenvalue
+merging, symmetry checks).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, NotEffect, NotHermitian, NotProjector, NotUnitary
+from .errors import (BadDistribution, DimMismatch, NotEffect, NotFinite,
+                     NotHermitian, NotProjector, NotUnitary)
 
 # Default tolerances.  Symmetry/unitarity/projector checks are absolute on
 # matrix entries; eigenvalue merging is relative to the eigenvalue scale.
@@ -42,6 +45,22 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
+def as_operator_stack(ops, what: str) -> np.ndarray:
+    """Coerce a non-empty family of d x d matrices to one (n, d, d) complex
+    stack with finite entries; ``what`` names a member in error messages."""
+    try:
+        m = np.asarray(ops, dtype=complex)
+    except ValueError as exc:  # ragged, so no common shape
+        raise DimMismatch(f"each {what} must be a d x d matrix of one d: {exc}") from None
+    if m.shape[:1] == (0,):
+        raise BadDistribution(f"need at least one {what}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise DimMismatch(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotFinite(f"{what} entries must be finite")
+    return m
+
+
 def as_state(v) -> np.ndarray:
     """Coerce to a unit-norm complex vector."""
     s = np.asarray(v, dtype=complex).reshape(-1)
@@ -50,7 +69,8 @@ def as_state(v) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def identity(dim: int) -> np.ndarray:
@@ -135,9 +155,12 @@ class EigenDecomposition:
         return tuple(b @ dagger(b) for b in self.blocks())
 
     def spectral_sum(self, weights) -> np.ndarray:
-        """sum_k weights[k] * projectors[k], computed as V diag(w) V^dag."""
-        w = np.repeat(np.asarray(weights), self.sizes)
-        return (self.basis * w) @ dagger(self.basis)
+        """sum_k weights[k] * projectors[k], computed as V diag(w) V^dag.
+
+        Weights of shape (n, k) give the (n, d, d) stack of the n sums in
+        one batched product."""
+        w = np.repeat(np.asarray(weights), self.sizes, axis=-1)
+        return (self.basis * w[..., None, :]) @ dagger(self.basis)
 
     def reconstruct(self) -> np.ndarray:
         return self.spectral_sum(self.eigenvalues)

@@ -1,6 +1,10 @@
 """Measurement-side machinery: likelihood effects, POVMs, density
 construction, evidence functionals, and Kraus updates.
 
+A POVM's effects and an instrument's Kraus operators are each held as one
+(n, d, d) complex stack, so building, checking and applying a family is a
+few batched numpy calls rather than one call per operator.
+
 A statistical model here is a finite likelihood table p(x | value); its
 likelihood effect for an observed x combines the table with a variable's
 eigenprojectors.  Evidence is deliberately a function of (state, effect)
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotFinite,
-                     ValueMismatch, ZeroProbabilityBranch)
+from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect,
+                     NotFinite, ValueMismatch, ZeroProbabilityBranch)
 from .variables import AccessibleVariable
 
 MODEL_TOL = 1e-10
@@ -37,6 +41,8 @@ class StatisticalModel:
         object.__setattr__(self, "parameter_values", vals)
         object.__setattr__(self, "sample_points", tuple(self.sample_points))
         object.__setattr__(self, "likelihood", lik)
+        if any(self.sample_points.index(x) != i for i, x in enumerate(self.sample_points)):
+            raise BadDistribution(f"sample points {self.sample_points} are not distinct")
         if lik.shape != (len(self.sample_points), len(vals)):
             raise DimMismatch(f"likelihood shape {lik.shape} does not match "
                               f"{len(self.sample_points)} samples x {len(vals)} values")
@@ -81,25 +87,30 @@ def likelihood_effect(m: StatisticalModel, v: AccessibleVariable, x) -> np.ndarr
 
 @dataclass(frozen=True)
 class Povm:
-    effects: tuple
+    """Effects as one (n, d, d) stack: each is Hermitian with spectrum in
+    [0, 1], and together they sum to the identity."""
+
+    effects: np.ndarray
     labels: tuple = None
 
     def __post_init__(self):
-        effs = tuple(hilbert.require_effect(e) for e in self.effects)
+        effs = hilbert.as_operator_stack(self.effects, "effect")
         object.__setattr__(self, "effects", effs)
-        if not effs:
-            raise BadDistribution("a POVM needs at least one effect")
-        d = effs[0].shape[0]
-        hilbert.require(np.abs(sum(effs) - hilbert.identity(d)).max(), MODEL_TOL,
-                        BadDistribution, "max |sum of effects - I|")
+        hilbert.require(np.abs(effs - hilbert.dagger(effs)).max(), hilbert.EFFECT_TOL,
+                        NotEffect, "max |F - F^dag| over the effects")
+        w = np.linalg.eigvalsh(effs)
+        hilbert.require(max(-w.min(), w.max() - 1.0), hilbert.EFFECT_TOL, NotEffect,
+                        "effects' spectral excess beyond [0, 1]")
+        hilbert.require(np.abs(effs.sum(0) - hilbert.identity(effs.shape[1])).max(),
+                        MODEL_TOL, BadDistribution, "max |sum of effects - I|")
 
 
 def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
-    """One effect per sample point; completeness holds since the model's
-    columns each sum to one."""
+    """One effect per sample point, all from one batched product
+    V diag(p(x|.)) V^dag; completeness holds since the model's columns
+    each sum to one."""
     _require_matching(m, v)
-    effects = tuple(likelihood_effect(m, v, x) for x in m.sample_points)
-    return Povm(effects, labels=m.sample_points)
+    return Povm(v.spectral_sum(m.likelihood), labels=m.sample_points)
 
 
 def density_of(pi, v: AccessibleVariable) -> np.ndarray:
@@ -138,16 +149,15 @@ def evidence(sigma) -> Evidence:
 
 @dataclass(frozen=True)
 class KrausInstrument:
-    kraus: tuple
+    """Kraus operators as one (n, d, d) stack with sum_j A_j^dag A_j = I."""
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(hilbert.as_operator(a) for a in self.kraus)
+        ops = hilbert.as_operator_stack(self.kraus, "Kraus operator")
         object.__setattr__(self, "kraus", ops)
-        if not ops:
-            raise BadDistribution("an instrument needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        total = sum(hilbert.dagger(a) @ a for a in ops)
-        hilbert.require(np.abs(total - hilbert.identity(d)).max(), MODEL_TOL,
+        total = (hilbert.dagger(ops) @ ops).sum(0)
+        hilbert.require(np.abs(total - hilbert.identity(ops.shape[1])).max(), MODEL_TOL,
                         BadDistribution, "max |sum of A_j^dag A_j - I|")
 
     @property
@@ -156,9 +166,10 @@ class KrausInstrument:
 
 
 def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
+    """p_j = trace(A_j^dag A_j sigma) for every branch at once, clipped at 0."""
     sm = hilbert.require_density(sigma)
-    return np.array([max(np.real(hilbert.trace_product(
-        hilbert.dagger(a) @ a, sm)), 0.0) for a in k.kraus])
+    effects = hilbert.dagger(k.kraus) @ k.kraus
+    return np.maximum(np.einsum("nik,ki->n", effects, sm).real, 0.0)
 
 
 def kraus_update(k: KrausInstrument, sigma, j: int):
@@ -176,18 +187,16 @@ def kraus_update(k: KrausInstrument, sigma, j: int):
 def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
     """Posterior from a diagonal instrument vs the Bayes posterior with
     likelihood |A(j, n)|^2; returns both for comparison."""
-    diags = []
-    for a in k.kraus:
-        if np.max(np.abs(a - np.diag(np.diag(a)))) > MODEL_TOL:
-            raise NotDiagonal("every Kraus operator must be diagonal")
-        diags.append(np.diag(a))
+    off_diagonal = k.kraus[:, ~np.eye(k.kraus.shape[1], dtype=bool)]
+    if np.abs(off_diagonal).max(initial=0.0) > MODEL_TOL:
+        raise NotDiagonal("every Kraus operator must be diagonal")
     w = np.asarray(prior, dtype=float).reshape(-1)
     if np.any(w < 0) or abs(w.sum() - 1.0) > MODEL_TOL:
         raise BadDistribution("prior must be a probability vector")
     sigma = np.diag(w).astype(complex)
     p, post = kraus_update(k, sigma, j)
     kraus_posterior = np.real(np.diag(post))
-    lik = np.abs(diags[j]) ** 2
+    lik = np.abs(np.diagonal(k.kraus[j])) ** 2
     bayes_posterior = w * lik / np.sum(w * lik)
     return kraus_posterior, bayes_posterior
 

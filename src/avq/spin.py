@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -66,24 +67,40 @@ class SpinOperators:
         return n[0] * self.ax + n[1] * self.ay + n[2] * self.az
 
 
+# Ladders below this dimension are built once and kept: callers with many
+# small cases pay mostly for building them, while a large ladder costs
+# memory to keep and little time to rebuild next to the eigendecompositions
+# done with it.  The cache holds at most 16 ladders, about 0.12 MB.
+CACHED_DIM = 16
+
+
 def spin_operators(two_r: int) -> SpinOperators:
-    """Ladder construction in the canonical basis |r;m>, m = +r..-r."""
+    """Ladder construction in the canonical basis |r;m>, m = +r..-r.
+
+    The arrays are read-only: ladders of dimension up to ``CACHED_DIM``
+    are cached, and every caller shares them.
+    """
     if two_r < 0 or int(two_r) != two_r:
         raise ValueError("two_r must be a nonnegative integer")
     two_r = int(two_r)
+    return (_cached_ladder if two_r < CACHED_DIM else _ladder)(two_r)
+
+
+def _ladder(two_r: int) -> SpinOperators:
     r = two_r / 2.0
-    d = two_r + 1
-    m = r - np.arange(d)
+    m = r - np.arange(two_r + 1)
     az = np.diag(m).astype(complex)
-    plus = np.zeros((d, d), dtype=complex)
     # raising: |r;m> -> sqrt(r(r+1) - m(m+1)) |r;m+1>; m+1 sits one row up
-    for k in range(1, d):
-        mm = m[k]
-        plus[k - 1, k] = np.sqrt(r * (r + 1) - mm * (mm + 1))
+    plus = np.diag(np.sqrt(r * (r + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     minus = hilbert.dagger(plus)
     ax = (plus + minus) / 2.0
     ay = (plus - minus) / 2.0j
+    for a in (ax, ay, az, plus, minus):
+        a.setflags(write=False)
     return SpinOperators(two_r, ax, ay, az, plus, minus)
+
+
+_cached_ladder = cache(_ladder)
 
 
 def rotation(two_r: int, n, omega: float) -> np.ndarray:

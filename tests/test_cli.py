@@ -242,6 +242,14 @@ class TestFlagTypes:
         assert exc.value.code == 2
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_non_negative_int(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["medical", "--n", "10000", "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed: expected an integer >= 0" in capsys.readouterr().err
+        assert cli.build_parser().parse_args(["medical", "--seed", "0"]).seed == 0
+
     @pytest.mark.parametrize("args", [
         ("spin", "--r", "100000", "--check"),
         ("spin", "--r", str(cli.MAX_TWO_R // 2 + 1)),

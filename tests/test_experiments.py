@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from avq import experiments
+from avq import born, experiments
 
 
 class TestPlaneDirection:
@@ -87,6 +87,71 @@ class TestChshSimulate:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 0, 1)
+
+
+def masked_reference(cfg):
+    """The previous sampler: one boolean mask and one searchsorted per
+    setting pair.  Returns (outcome_a, outcome_b, correlations, s)."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_trials
+    ia = rng.integers(0, 2, size=n)
+    ib = rng.integers(0, 2, size=n)
+    u = rng.random(n)
+    outcome_a = np.zeros(n, dtype=int)
+    outcome_b = np.zeros(n, dtype=int)
+    signs = np.array(born.OUTCOMES)
+    correlations = {}
+    for (la, lb), (ang_a, ang_b) in cfg.angles().items():
+        mask = ((ia == experiments.SETTING_LABELS_A.index(la))
+                & (ib == experiments.SETTING_LABELS_B.index(lb)))
+        count = int(mask.sum())
+        joint = born.singlet_joint(experiments.plane_direction(ang_a),
+                                   experiments.plane_direction(ang_b))
+        cell = np.minimum(np.searchsorted(np.cumsum(joint.ravel()), u[mask],
+                                          side="right"), 3)
+        oa, ob = signs[cell // 2], signs[cell % 2]
+        outcome_a[mask] = oa
+        outcome_b[mask] = ob
+        if count > 0:
+            correlations[(la, lb)] = (float(np.mean(oa * ob)), count)
+    s = (experiments.chsh_statistic({p: e for p, (e, _) in correlations.items()})
+         if len(correlations) == 4 else None)
+    return outcome_a, outcome_b, correlations, s
+
+
+class TestTableSamplerMatchesMaskedReference:
+    """The table-driven sampler gives the masked sampler's trials, dtypes,
+    correlations and s exactly, including runs with empty cells."""
+
+    ANGLE_SETS = [(0.0, 90.0, 45.0, 135.0), (0.0, 0.0, 0.0, 0.0),
+                  (0.0, 0.0, 180.0, 180.0), (10.0, 200.0, 33.0, 301.0)]
+
+    @pytest.mark.parametrize("angles", ANGLE_SETS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
+    def test_identical_runs(self, angles, n, seed):
+        cfg = experiments.ChshConfig(*np.deg2rad(angles), n_trials=n, seed=seed)
+        run = experiments.chsh_simulate(cfg)
+        oa, ob, correlations, s = masked_reference(cfg)
+        assert run.outcome_a.dtype == oa.dtype and run.outcome_b.dtype == ob.dtype
+        assert np.array_equal(run.outcome_a, oa)
+        assert np.array_equal(run.outcome_b, ob)
+        assert list(run.correlations.items()) == list(correlations.items())
+        assert run.s_statistic == s
+        if n < 4:
+            assert run.s_statistic is None
+
+    def test_random_angles(self):
+        g = np.random.default_rng(7)
+        for k in range(20):
+            cfg = experiments.ChshConfig(*g.uniform(0, 2 * np.pi, size=4),
+                                         n_trials=int(g.integers(1, 3000)),
+                                         seed=int(g.integers(2**31)))
+            run = experiments.chsh_simulate(cfg)
+            oa, ob, correlations, s = masked_reference(cfg)
+            assert np.array_equal(run.outcome_a, oa)
+            assert np.array_equal(run.outcome_b, ob)
+            assert run.correlations == correlations and run.s_statistic == s
 
 
 class TestChshClassical:

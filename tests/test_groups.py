@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import groups
-from avq.errors import NotPermissible, SpaceMismatch
+from avq.errors import DomainError, NotPermissible, NotPermutation, SpaceMismatch
 
 
 def sign_flip_action(points):
@@ -42,6 +42,13 @@ class TestGroupAction:
         g = groups.FiniteGroup.cyclic(2)
         with pytest.raises(ValueError):
             groups.GroupAction(g, ("x", "y"), np.array([[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("table", [[[0, 1], [2, 0]], [[0, 1], [-1, 0]]])
+    def test_entry_outside_points_is_not_permutation(self, table):
+        g = groups.FiniteGroup.cyclic(2)
+        with pytest.raises(NotPermutation, match="point indices"):
+            groups.GroupAction(g, ("x", "y"), table)
+        assert issubclass(NotPermutation, DomainError)
 
     def test_from_permutations(self):
         act = sign_flip_action([-1, 1])

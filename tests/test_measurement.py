@@ -3,7 +3,7 @@ import pytest
 
 from avq import hilbert, measurement, variables
 from avq.errors import (BadDistribution, DimMismatch, DomainError, NotDiagonal,
-                        NotFinite, ValueMismatch, ZeroProbabilityBranch)
+                        NotEffect, NotFinite, ValueMismatch, ZeroProbabilityBranch)
 
 from conftest import (random_density, random_diagonal_instrument,
                       random_instrument, random_maximal_variable, random_model,
@@ -32,6 +32,82 @@ def test_empty_instrument_rejected():
         measurement.KrausInstrument(())
 
 
+class TestStackedFamilies:
+    """Effects and Kraus operators are (n, d, d) stacks, built and checked
+    in batched calls that agree with the per-operator definitions."""
+
+    def test_povm_equals_per_effect_loop(self, rng):
+        for _ in range(40):
+            d, nx = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            v = random_maximal_variable(rng, d)
+            m = measurement.StatisticalModel(v.values, tuple(range(nx)),
+                                             random_model(rng, d, nx).likelihood)
+            povm = measurement.povm_of_model(m, v)
+            assert povm.effects.shape == (nx, d, d)
+            loop = [measurement.likelihood_effect(m, v, x) for x in m.sample_points]
+            assert np.array_equal(povm.effects, np.array(loop))
+
+    def test_branch_probabilities_equal_per_operator_loop(self, rng):
+        for _ in range(40):
+            d, n = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+            k = random_instrument(rng, d, n)
+            sigma = random_density(rng, d)
+            loop = [max(np.real(hilbert.trace_product(hilbert.dagger(a) @ a, sigma)), 0.0)
+                    for a in k.kraus]
+            assert np.array_equal(measurement.branch_probabilities(k, sigma), loop)
+
+    @pytest.mark.parametrize("family", [
+        (np.eye(2), np.eye(3)),
+        (np.eye(2), np.zeros((2, 3))),
+        (np.eye(2), [[1.0, 0.0], [0.0]]),
+    ])
+    def test_ragged_family_is_dim_mismatch(self, family):
+        with pytest.raises(DimMismatch):
+            measurement.Povm(family)
+        with pytest.raises(DimMismatch):
+            measurement.KrausInstrument(family)
+
+    @pytest.mark.parametrize("family", [np.eye(2), np.zeros((2, 2, 3)), 1.0])
+    def test_non_square_or_unstacked_is_dim_mismatch(self, family):
+        with pytest.raises(DimMismatch):
+            measurement.Povm(family)
+        with pytest.raises(DimMismatch):
+            measurement.KrausInstrument(family)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        f = np.eye(2, dtype=complex)
+        f[0, 1] = bad
+        with pytest.raises(NotFinite):
+            measurement.Povm((f, np.eye(2) - f))
+        with pytest.raises(NotFinite):
+            measurement.KrausInstrument((f,))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(BadDistribution):
+            measurement.Povm(np.zeros((0, 2, 2)))
+        with pytest.raises(BadDistribution):
+            measurement.KrausInstrument(np.zeros((0, 2, 2)))
+
+    def test_effect_checks(self):
+        with pytest.raises(NotEffect):  # not Hermitian
+            measurement.Povm((np.array([[0.5, 0.1], [0.0, 0.5]]),
+                              np.array([[0.5, -0.1], [0.0, 0.5]])))
+        with pytest.raises(NotEffect):  # spectrum leaves [0, 1]
+            measurement.Povm((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])))
+        with pytest.raises(BadDistribution):  # incomplete
+            measurement.Povm((np.diag([0.5, 0.5]), np.diag([0.2, 0.5])))
+
+    def test_one_off_diagonal_entry_is_not_diagonal(self):
+        # the second branch is sqrt(1/2) times a rotation by 1e-6 mixing
+        # basis vectors 0 and 2
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        u = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+        k = measurement.KrausInstrument(np.sqrt(0.5) * np.array([np.eye(3), u]))
+        with pytest.raises(NotDiagonal):
+            measurement.diagonal_kraus_vs_bayes(k, [0.2, 0.3, 0.5], 0)
+
+
 class TestStatisticalModel:
     def test_column_normalization_enforced(self):
         with pytest.raises(BadDistribution):
@@ -49,6 +125,13 @@ class TestStatisticalModel:
         with pytest.raises(error):
             measurement.StatisticalModel(values, (0, 1), lik)
         assert issubclass(error, DomainError)
+
+    def test_duplicate_sample_points_rejected(self):
+        # with a repeated point, likelihood_effect could reach only its
+        # first row, while povm_of_model builds one effect per row
+        with pytest.raises(BadDistribution, match="distinct"):
+            measurement.StatisticalModel([0.0, 1.0], (0, 0),
+                                         [[0.8, 0.3], [0.2, 0.7]])
 
     def test_unknown_sample_point(self):
         with pytest.raises(ValueMismatch):

@@ -44,6 +44,53 @@ class TestSpinOperators:
         assert np.allclose(np.diag(ops.az).real, ops.m_values)
 
 
+def fresh_ladder(two_r):
+    """The ladder built entry by entry, without the cache."""
+    r = two_r / 2.0
+    d = two_r + 1
+    m = r - np.arange(d)
+    plus = np.zeros((d, d), dtype=complex)
+    for k in range(1, d):
+        plus[k - 1, k] = np.sqrt(r * (r + 1) - m[k] * (m[k] + 1))
+    minus = plus.conj().T
+    return ((plus + minus) / 2.0, (plus - minus) / 2.0j, np.diag(m).astype(complex),
+            plus, minus)
+
+
+class TestCachedLadder:
+    @pytest.mark.parametrize("two_r", [0, 1, 2, 3, 4, 7, 20, 95])
+    def test_equals_fresh_build(self, two_r):
+        ops = spin.spin_operators(two_r)
+        for got, want in zip((ops.ax, ops.ay, ops.az, ops.plus, ops.minus),
+                             fresh_ladder(two_r)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("two_r", [3, spin.CACHED_DIM - 1, spin.CACHED_DIM, 40])
+    def test_read_only(self, two_r):
+        ops = spin.spin_operators(two_r)
+        for a in (ops.ax, ops.ay, ops.az, ops.plus, ops.minus):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_only_small_ladders_are_kept(self):
+        small = spin.spin_operators(spin.CACHED_DIM - 1)
+        assert small.dim == spin.CACHED_DIM
+        assert spin.spin_operators(spin.CACHED_DIM - 1) is small
+        assert spin.spin_operators(float(spin.CACHED_DIM - 1)) is small
+        assert spin.spin_operators(spin.CACHED_DIM) is not spin.spin_operators(spin.CACHED_DIM)
+
+    def test_derived_operators_are_writable(self):
+        comp = spin.component_operator(3, [0.0, 0.0, 1.0])
+        comp[0, 0] = 0.0
+        assert spin.spin_operators(3).az[0, 0] == 1.5
+
+    @pytest.mark.parametrize("two_r", [-1, 1.5, -0.5])
+    def test_invalid_two_r_still_raises(self, two_r):
+        with pytest.raises(ValueError):
+            spin.spin_operators(two_r)
+
+
 class TestRotation:
     def test_zero_angle(self):
         assert np.allclose(spin.rotation(2, [0.0, 0.0, 1.0], 0.0), np.eye(3))
