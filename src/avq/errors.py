@@ -45,6 +45,13 @@ class SpaceMismatch(DomainError):
     pass
 
 
+class BadGroupData(DomainError, ValueError):
+    """A group table, action, map or orbit measure breaks its definition.
+
+    Also a ``ValueError``, which these checks raised before they had a
+    class of their own."""
+
+
 class NotPermissible(DomainError):
     pass
 

@@ -171,41 +171,61 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
     the terms of ``chsh_statistic`` that hold b and b'; so the largest |s|
     for that a' is max(max f + max g, -(min f + min g)), found in O(N)
     rather than O(N^2) work.  Since s as summed by ``chsh_statistic``
-    rounds differently from f + g, s is re-evaluated on the rows and
-    columns within ``_NEAR_EXTREME`` of the extremes of f and g, which
-    hold every maximum of |s|.  Ties go to the first maximum in the scan
-    order a', then b, then b' (a later one must be strictly larger), so
+    rounds differently from f + g, s is re-evaluated on the (b, b') pairs
+    within ``_NEAR_EXTREME`` of the extremes of f and g, which hold every
+    maximum of |s|.
+
+    The grid is evaluated a block of a' rows at a time: E(a', x) for every
+    a' of the block and every grid angle x is one (rows, N) array, and each
+    row's candidate b values are crossed with its candidate b' values in
+    one ragged product.  A block holds at most ``_BLOCK_ENTRIES`` grid
+    entries, so the memory used stays a few MB at any resolution.
+
+    Every s is summed elementwise in the order ``chsh_statistic`` gives,
+    exactly as a per-entry scan sums it, and ties go to the first maximum
+    in the scan order a', then b, then b' (within a block the first argmax
+    in that flattened order; a later block must be strictly larger), so
     the angles and s are those of the full O(N^3) scan, to the bit.
     """
     if not 0.0 < resolution_deg <= 5.0:
         raise ValueError("resolution must be above 0 and at most 5 degrees")
     grid = np.arange(0.0, 360.0, resolution_deg)
     rad = np.deg2rad(grid)
+    rows = max(1, _BLOCK_ENTRIES // len(rad))
     best = (0.0, (0.0, 0.0, 0.0, 0.0))
     e_a = -np.cos(-rad)      # E(a, x) at every grid angle x, a = 0
-    for i, ap in enumerate(rad):
-        e = {"a": e_a, "a'": -np.cos(ap - rad)}
+    for first in range(0, len(rad), rows):
+        e_ap = -np.cos(rad[first:first + rows, None] - rad)
+        e = {"a": np.broadcast_to(e_a, e_ap.shape), "a'": e_ap}
         f, g = (chsh_statistic({(la, lb): e[la] if lb == label else 0.0
                                 for la, lb in CHSH_SIGNS})
                 for label in SETTING_LABELS_B)
-        rows, cols = _near_extremes(f), _near_extremes(g)
-        pick = {"b": rows[:, None], "b'": cols[None, :]}
-        s = chsh_statistic({(la, lb): e[la][pick[lb]] for la, lb in CHSH_SIGNS})
-        jb, jbp = np.unravel_index(np.argmax(np.abs(s)), s.shape)
-        val = float(s[jb, jbp])
+        (row_b, jb), (row_bp, jbp) = _near_extremes(f), _near_extremes(g)
+        # pair each b candidate with every b' candidate of its row, in order
+        per_row = np.bincount(row_bp, minlength=len(e_ap))
+        n_bp = per_row[row_b]
+        offset = (np.cumsum(per_row) - per_row)[row_b] - (np.cumsum(n_bp) - n_bp)
+        pair = np.repeat(np.arange(len(jb)), n_bp)
+        row = row_b[pair]
+        pick = {"b": jb[pair], "b'": jbp[offset[pair] + np.arange(len(pair))]}
+        s = chsh_statistic({(la, lb): e[la][row, pick[lb]] for la, lb in CHSH_SIGNS})
+        k = np.argmax(np.abs(s))
+        val = float(s[k])
         if abs(val) > abs(best[0]):
-            best = (val, (0.0, float(grid[i]), float(grid[rows[jb]]),
-                          float(grid[cols[jbp]])))
+            best = (val, (0.0, float(grid[first + row[k]]), float(grid[pick["b"][k]]),
+                          float(grid[pick["b'"][k]])))
     return best[1], best[0]
 
 
+_BLOCK_ENTRIES = 2 ** 16  # grid entries per block of a' rows; bounds the memory
 _NEAR_EXTREME = 1e-9  # far above the rounding gap between s and f + g
 
 
-def _near_extremes(h: np.ndarray) -> np.ndarray:
-    """Indices, ascending, of the entries within _NEAR_EXTREME of max or min."""
-    return np.flatnonzero((h >= h.max() - _NEAR_EXTREME)
-                          | (h <= h.min() + _NEAR_EXTREME))
+def _near_extremes(h: np.ndarray) -> tuple:
+    """(row, column) indices, row-major, of the entries within _NEAR_EXTREME
+    of their row's max or min."""
+    return np.nonzero((h >= h.max(axis=-1, keepdims=True) - _NEAR_EXTREME)
+                      | (h <= h.min(axis=-1, keepdims=True) + _NEAR_EXTREME))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPermissible, NotPermutation, SpaceMismatch
+from .errors import BadGroupData, NotPermissible, NotPermutation, SpaceMismatch
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,22 @@ class FiniteGroup:
         object.__setattr__(self, "cayley", t)
         n = t.shape[0]
         if t.shape != (n, n):
-            raise ValueError("Cayley table must be square")
+            raise BadGroupData("Cayley table must be square")
         full = np.arange(n)
         if not ((np.sort(t, 0) == full[:, None]).all()
                 and (np.sort(t, 1) == full).all()):
-            raise ValueError("Cayley table is not a Latin square")
+            raise BadGroupData("Cayley table is not a Latin square")
         ident = np.flatnonzero((t == full).all(1) & (t == full[:, None]).all(0))
         if len(ident) != 1:
-            raise ValueError("Cayley table has no unique identity")
+            raise BadGroupData("Cayley table has no unique identity")
         e = int(ident[0])
         object.__setattr__(self, "_identity", e)
         inv = np.argmax(t == e, 1)  # the one e in each row of a Latin square
         if not (t[inv, full] == e).all():
-            raise ValueError("inverses inconsistent with the table")
+            raise BadGroupData("inverses inconsistent with the table")
         object.__setattr__(self, "_inverse", inv)
         if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal group order")
+            raise BadGroupData("labels length must equal group order")
 
     @property
     def order(self) -> int:
@@ -97,13 +97,13 @@ class GroupAction:
         object.__setattr__(self, "table", t)
         n, p = self.group.order, len(self.space)
         if t.shape != (n, p):
-            raise ValueError(f"action table shape {t.shape} != ({n}, {p})")
+            raise BadGroupData(f"action table shape {t.shape} != ({n}, {p})")
         if ((t < 0) | (t >= p)).any():
             raise NotPermutation(f"action table entries must be point indices 0..{p - 1}")
         if not np.array_equal(t[self.group.identity], np.arange(p)):
-            raise ValueError("identity element does not act trivially")
+            raise BadGroupData("identity element does not act trivially")
         if not (np.take(t, t, axis=1) == np.take(t, self.group.cayley, axis=0)).all():
-            raise ValueError("action is not compatible with the product")
+            raise BadGroupData("action is not compatible with the product")
 
     def act(self, g: int, x: int) -> int:
         return int(self.table[g, x])
@@ -128,7 +128,7 @@ def group_from_permutations(perms, space) -> GroupAction:
     gens = [tuple(int(i) for i in perm) for perm in perms]
     for g in gens:
         if sorted(g) != list(range(p)):
-            raise ValueError(f"{g} is not a permutation of {p} points")
+            raise BadGroupData(f"{g} is not a permutation of {p} points")
     ngen = len(gens)
     gen = np.array(gens, dtype=np.min_scalar_type(max(p - 1, 0))).reshape(ngen, p)
     frontier = np.arange(p, dtype=gen.dtype)[None, :]
@@ -176,9 +176,9 @@ class VariableMap:
         m = np.asarray(self.index_map, dtype=int)
         object.__setattr__(self, "index_map", m)
         if m.shape != (len(self.domain),):
-            raise ValueError("map length must equal domain size")
+            raise BadGroupData("map length must equal domain size")
         if set(m.tolist()) != set(range(len(self.codomain))):
-            raise ValueError("codomain must equal the image of the map")
+            raise BadGroupData("codomain must equal the image of the map")
 
     def __call__(self, x: int) -> int:
         return int(self.index_map[x])
@@ -300,16 +300,16 @@ def invariant_measure(action: GroupAction, orbit_mass=None,
     if orbit_mass is None:
         orbit_mass = [1.0] * k
     if len(orbit_mass) != k:
-        raise ValueError(f"expected {k} orbit masses, got {len(orbit_mass)}")
+        raise BadGroupData(f"expected {k} orbit masses, got {len(orbit_mass)}")
     if any(m < 0 for m in orbit_mass):
-        raise ValueError("orbit masses must be nonnegative")
+        raise BadGroupData("orbit masses must be nonnegative")
     w = np.zeros(len(action.space))
     for block, mass in zip(part.blocks, orbit_mass):
         w[list(block)] = mass / len(block)
     if probability:
         total = w.sum()
         if total <= 0:
-            raise ValueError("cannot normalize a zero measure")
+            raise BadGroupData("cannot normalize a zero measure")
         w = w / total
     return InvariantMeasure(w)
 
@@ -326,5 +326,5 @@ def action_to_dict(action: GroupAction) -> dict:
 def action_from_dict(d: dict) -> GroupAction:
     group = FiniteGroup(np.array(d["cayley"], dtype=int))
     if group.order != int(d["order"]):
-        raise ValueError("declared order does not match the Cayley table")
+        raise BadGroupData("declared order does not match the Cayley table")
     return GroupAction(group, tuple(d["space"]), np.array(d["action"], dtype=int))

@@ -41,7 +41,7 @@ def as_operator(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("operator entries must be finite")
+        raise NotFinite("operator entries must be finite")
     return m
 
 

@@ -40,7 +40,7 @@ class AccessibleVariable(hilbert.EigenDecomposition):
         group = np.rint(w).clip(0, k - 1).astype(int)
         self._set(name, values, vecs, np.bincount(group, minlength=k))
         # P_j = V_j V_j^dag for every j makes the P_j orthogonal and complete
-        hilbert.require(np.abs(projs - np.asarray(self.projectors)).max(),
+        hilbert.require(np.abs(projs - _projector_stack(self.basis, self.sizes)).max(),
                         hilbert.PROJECTOR_TOL, ValueError, "max |P_j - V_j V_j^dag|")
 
     def _set(self, name, values, basis, sizes):
@@ -75,6 +75,16 @@ class AccessibleVariable(hilbert.EigenDecomposition):
     def from_operator(cls, name, h) -> "AccessibleVariable":
         dec = hilbert.eig_hermitian(h)
         return cls.from_basis(name, dec.eigenvalues, dec.basis, dec.sizes)
+
+
+def _projector_stack(basis, sizes) -> np.ndarray:
+    """The (k, d, d) stack of V_j V_j^dag as one batched product, each column
+    group V_j zero-padded to the widest."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    column = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    blocks = np.zeros((len(sizes), len(basis), sizes.max()), dtype=complex)
+    blocks[group, :, column] = basis.T
+    return blocks @ hilbert.dagger(blocks)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,7 +187,50 @@ def brute_force_quantum_max(resolution_deg):
     return best[1], best[0]
 
 
+def per_row_quantum_max(resolution_deg):
+    """The O(N^2) search one a' at a time: s(b, b') = f(b) + g(b') for that
+    a', with s re-evaluated on the b and b' within 1e-9 of the extremes of f
+    and g; a later a' must be strictly larger."""
+    grid = np.arange(0.0, 360.0, resolution_deg)
+    rad = np.deg2rad(grid)
+    best = (0.0, (0.0, 0.0, 0.0, 0.0))
+    e_a = -np.cos(-rad)
+
+    def near_extremes(h):
+        return np.flatnonzero((h >= h.max() - 1e-9) | (h <= h.min() + 1e-9))
+
+    for i, ap in enumerate(rad):
+        e = {"a": e_a, "a'": -np.cos(ap - rad)}
+        f, g = (experiments.chsh_statistic({(la, lb): e[la] if lb == label else 0.0
+                                            for la, lb in experiments.CHSH_SIGNS})
+                for label in experiments.SETTING_LABELS_B)
+        rows, cols = near_extremes(f), near_extremes(g)
+        pick = {"b": rows[:, None], "b'": cols[None, :]}
+        s = experiments.chsh_statistic({(la, lb): e[la][pick[lb]]
+                                        for la, lb in experiments.CHSH_SIGNS})
+        jb, jbp = np.unravel_index(np.argmax(np.abs(s)), s.shape)
+        val = float(s[jb, jbp])
+        if abs(val) > abs(best[0]):
+            best = (val, (0.0, float(grid[i]), float(grid[rows[jb]]),
+                          float(grid[cols[jbp]])))
+    return best[1], best[0]
+
+
 class TestChshQuantumMax:
+    @pytest.mark.parametrize("resolution", [4.9, 3.3, 1.0, 0.7, 0.5, 0.2])
+    def test_blocks_match_per_row_search(self, resolution):
+        # 0.2 degrees is 1800 a' rows, 36 to a block: 50 blocks
+        assert experiments.chsh_quantum_max(resolution) == per_row_quantum_max(resolution)
+
+    def test_memory_stays_bounded(self):
+        tracemalloc.start()
+        try:
+            experiments.chsh_quantum_max(0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("resolution", [5.0, 2.0])
     def test_matches_brute_force_scan(self, resolution):
         angles, s = experiments.chsh_quantum_max(resolution)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import groups
-from avq.errors import DomainError, NotPermissible, NotPermutation, SpaceMismatch
+from avq.errors import (BadGroupData, DomainError, NotPermissible, NotPermutation,
+                        SpaceMismatch)
 
 
 def sign_flip_action(points):
@@ -370,3 +371,36 @@ class TestWholeTableRejections:
         g = groups.FiniteGroup.cyclic(2)
         with pytest.raises(ValueError, match="compatible"):
             groups.GroupAction(g, ("x", "y", "z"), np.array([[0, 1, 2], [1, 2, 0]]))
+
+
+Z2 = groups.FiniteGroup.cyclic(2)
+ONE_POINT = groups.GroupAction.trivial(("x",))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: groups.FiniteGroup(np.zeros((2, 3), dtype=int)), "must be square"),
+    (lambda: groups.FiniteGroup(np.zeros((2, 2), dtype=int)), "not a Latin square"),
+    (lambda: groups.FiniteGroup(np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])),
+     "no unique identity"),
+    (lambda: groups.FiniteGroup(np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                                          [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]])),
+     "inverses inconsistent"),
+    (lambda: groups.FiniteGroup(Z2.cayley, labels=("e",)), "labels length"),
+    (lambda: groups.GroupAction(Z2, ("x", "y"), [[0, 1]]), "action table shape"),
+    (lambda: groups.GroupAction(Z2, ("x", "y"), [[1, 0], [0, 1]]), "act trivially"),
+    (lambda: groups.GroupAction(Z2, ("x", "y", "z"), [[0, 1, 2], [1, 2, 0]]),
+     "not compatible"),
+    (lambda: groups.group_from_permutations([[0, 0]], ("x", "y")), "not a permutation"),
+    (lambda: groups.VariableMap(("x", "y"), ("u",), [0]), "map length"),
+    (lambda: groups.VariableMap(("x", "y"), ("u", "v"), [0, 0]), "image of the map"),
+    (lambda: groups.invariant_measure(ONE_POINT, [1.0, 1.0]), "expected 1 orbit masses"),
+    (lambda: groups.invariant_measure(ONE_POINT, [-1.0]), "nonnegative"),
+    (lambda: groups.invariant_measure(ONE_POINT, [0.0], probability=True),
+     "zero measure"),
+    (lambda: groups.action_from_dict({"order": 3, "cayley": [[0]], "space": ["x"],
+                                      "action": [[0]]}), "declared order"),
+])
+def test_every_table_check_raises_a_domain_error(build, message):
+    with pytest.raises(BadGroupData, match=message) as info:
+        build()
+    assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avq import hilbert
-from avq.errors import DimMismatch, NotHermitian, NotProjector, NotUnitary
+from avq import hilbert, measurement
+from avq.errors import DimMismatch, NotFinite, NotHermitian, NotProjector, NotUnitary
 
 from conftest import SX, SY, SZ, random_hermitian, random_state, random_unitary
 
@@ -153,6 +153,20 @@ class TestPredicates:
     def test_state_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             hilbert.as_state([bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("check", [
+        hilbert.require_density,
+        hilbert.require_hermitian,
+        lambda m: hilbert.trace_product(np.eye(2), m),
+        lambda m: hilbert.trace_product(m, np.eye(2)),
+        measurement.evidence(np.eye(2) / 2),
+    ], ids=["require_density", "require_hermitian", "trace_product_right",
+            "trace_product_left", "evidence_call"])
+    def test_operator_rejects_non_finite(self, check, bad):
+        m = np.diag([bad, 1.0])
+        with pytest.raises(NotFinite, match="operator entries must be finite"):
+            check(m)
 
 
 @settings(max_examples=25, deadline=None)

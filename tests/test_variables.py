@@ -148,6 +148,7 @@ def test_planted_degeneracy_property(seed, mults, levels):
     w = variables.AccessibleVariable("w", v.values[order],
                                      tuple(projs[k] for k in order))
     assert w.ranks().tolist() == [mults[k] for k in order]
+    assert "projectors" not in vars(w)  # the constructor's check caches nothing
     for k, p in zip(order, w.projectors):
         assert np.max(np.abs(p - projs[k])) < 1e-10
     if len(mults) > 1:
@@ -156,7 +157,7 @@ def test_planted_degeneracy_property(seed, mults, levels):
         b0 = v.basis[:, 0]
         c = (b0 + v.basis[:, -1]) / np.sqrt(2.0)
         bad = projs[0] - np.outer(b0, np.conj(b0)) + np.outer(c, np.conj(c))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"max \|P_j - V_j V_j\^dag\| = "):
             variables.AccessibleVariable("bad", v.values, (bad,) + projs[1:])
 
 
