@@ -1,14 +1,17 @@
 """Finite groups acting on finite variable spaces.
 
 Groups are Cayley tables over element indices; actions are lookup tables
-(element, point) -> point.  The defining identities are checked on whole
-tables: a Cayley table t is a Latin square (every sorted row and column is
-0..n-1) with one two-sided identity e and inverses inv[i] such that
-t[i, inv[i]] = t[inv[i], i] = e; an action table a obeys a[e] = id and
-a[g, a[h]] = a[t[g, h]] for all g, h at once.  theta is permissible when
-every element maps each fibre of theta into one fibre, which is checked
-by comparing theta(k x) with theta(k rep(x)), rep(x) being the first
-point of x's fibre.
+(element, point) -> point.  A Cayley table t must be a Latin square (every
+sorted row and column is 0..n-1) with one two-sided identity e, inverses
+inv[i] such that t[i, inv[i]] = t[inv[i], i] = e, and an associative
+product.  The laws over a pair of elements are checked only with one of
+them in a generating set S: the elements s with (x s) y = x (s y) for all
+x, y are closed under the product, so checking s in S suffices (Light's
+associativity test), and likewise an action table a with a[e] = id obeys
+a[g, a[h]] = a[t[g, h]] for all g, h once it does for all g and h in S.
+theta is permissible when every element maps each fibre of theta into one
+fibre, which is checked by comparing theta(k x) with theta(k rep(x)),
+rep(x) being the first point of x's fibre.
 """
 
 from __future__ import annotations
@@ -20,20 +23,65 @@ import numpy as np
 from .errors import BadGroupData, NotPermissible, NotPermutation, SpaceMismatch
 
 
+def _index_table(table, what: str) -> np.ndarray:
+    """``table`` as an int array; float entries must be integral and fit in int64."""
+    try:
+        a = np.asarray(table)
+    except ValueError as exc:  # ragged nested lists
+        raise BadGroupData(f"{what} must be a rectangular array") from exc
+    # |x| < 2**63 is False for NaN and inf
+    if a.dtype.kind == "f" and (abs(a) < 2.0**63).all() and (a == np.round(a)).all():
+        return a.astype(int)
+    if a.dtype.kind not in "iu" and a.size:
+        raise BadGroupData(f"{what} entries must be integers")
+    return a.astype(int, copy=False)
+
+
+def _generating_set(t: np.ndarray, e: int) -> np.ndarray:
+    """Greedy generators: each is the first element outside the subgroup so far.
+
+    The subgroup is closed breadth first by right multiplication; each new
+    generator at least doubles it (Lagrange), so there are at most log2(n).
+    """
+    inside = [False] * len(t)
+    inside[e] = True
+    members, gens, cols = [e], [], []
+    for x in range(len(t)):
+        if inside[x]:
+            continue
+        gens.append(x)
+        cols.append(t[:, x].tolist())
+        # old members need only the new generator; new ones need all of them
+        frontier, steps = members[:], cols[-1:]
+        while frontier:
+            new = []
+            for col in steps:
+                for y in frontier:
+                    z = col[y]
+                    if not inside[z]:
+                        inside[z] = True
+                        new.append(z)
+            members += new
+            frontier, steps = new, cols
+    return np.array(gens, dtype=int)
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its Cayley table.
 
     ``cayley[i, j]`` is the index of ``g_i * g_j``.  ``labels`` are optional
     element labels; subgroups built by :func:`maximal_permissible_subgroup`
-    carry the parent element indices as labels.
+    carry the parent element indices as labels.  Associativity is checked by
+    Light's test, t[t[x, s], y] = t[x, t[s, y]] for all x, y and each s in
+    a greedy generating set S of at most log2(n) elements.
     """
 
     cayley: np.ndarray
     labels: tuple = None
 
     def __post_init__(self):
-        t = np.asarray(self.cayley, dtype=int)
+        t = _index_table(self.cayley, "Cayley table")
         object.__setattr__(self, "cayley", t)
         n = t.shape[0]
         if t.shape != (n, n):
@@ -51,6 +99,13 @@ class FiniteGroup:
         if not (t[inv, full] == e).all():
             raise BadGroupData("inverses inconsistent with the table")
         object.__setattr__(self, "_inverse", inv)
+        gens = _generating_set(t, e)
+        object.__setattr__(self, "_generators", gens)
+        # Light's test: (x s) y = x (s y) for all x, y; one (n, n) table per s
+        # is faster than one (n, |S|, n) comparison from n ~ 100 up
+        for s in gens.tolist():
+            if not (t[t[:, s]] == np.take(t, t[s], axis=1)).all():
+                raise BadGroupData("Cayley table is not associative")
         if self.labels is not None and len(self.labels) != n:
             raise BadGroupData("labels length must equal group order")
 
@@ -84,7 +139,9 @@ class GroupAction:
 
     ``table[g, x]`` is the image point index.  The identity and
     compatibility laws act(e, x) = x and act(g, act(h, x)) = act(g h, x)
-    are checked on construction, the latter as one (n, n, p) comparison.
+    are checked on construction, the latter for h in the group's generating
+    set S only, as one (n, |S|, p) comparison: the h that satisfy it for
+    every g are closed under the product, so this covers the whole group.
     """
 
     group: FiniteGroup
@@ -93,7 +150,7 @@ class GroupAction:
 
     def __post_init__(self):
         object.__setattr__(self, "space", tuple(self.space))
-        t = np.asarray(self.table, dtype=int)
+        t = _index_table(self.table, "action table")
         object.__setattr__(self, "table", t)
         n, p = self.group.order, len(self.space)
         if t.shape != (n, p):
@@ -102,7 +159,8 @@ class GroupAction:
             raise NotPermutation(f"action table entries must be point indices 0..{p - 1}")
         if not np.array_equal(t[self.group.identity], np.arange(p)):
             raise BadGroupData("identity element does not act trivially")
-        if not (np.take(t, t, axis=1) == np.take(t, self.group.cayley, axis=0)).all():
+        gens = self.group._generators
+        if not (np.take(t, t[gens], axis=1) == t[self.group.cayley[:, gens]]).all():
             raise BadGroupData("action is not compatible with the product")
 
     def act(self, g: int, x: int) -> int:
@@ -173,7 +231,7 @@ class VariableMap:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "codomain", tuple(self.codomain))
-        m = np.asarray(self.index_map, dtype=int)
+        m = _index_table(self.index_map, "map")
         object.__setattr__(self, "index_map", m)
         if m.shape != (len(self.domain),):
             raise BadGroupData("map length must equal domain size")
@@ -222,8 +280,9 @@ def check_permissible(theta: VariableMap, action: GroupAction) -> bool:
 def induce_action(theta: VariableMap, action: GroupAction) -> GroupAction:
     """Descend a permissible action through theta to the value space.
 
-    The returned table realizes (g theta)(x) := theta(k x); the homomorphism
-    law holds by the whole-table compatibility check in GroupAction.
+    The returned table realizes (g theta)(x) := theta(k x); GroupAction
+    checks the homomorphism law on the group's generating set, which
+    implies it for all pairs of elements.
     """
     if not check_permissible(theta, action):
         raise NotPermissible("variable is not permissible under this action")
@@ -301,8 +360,8 @@ def invariant_measure(action: GroupAction, orbit_mass=None,
         orbit_mass = [1.0] * k
     if len(orbit_mass) != k:
         raise BadGroupData(f"expected {k} orbit masses, got {len(orbit_mass)}")
-    if any(m < 0 for m in orbit_mass):
-        raise BadGroupData("orbit masses must be nonnegative")
+    if not all(0 <= m < np.inf for m in orbit_mass):  # False for NaN
+        raise BadGroupData("orbit masses must be finite and nonnegative")
     w = np.zeros(len(action.space))
     for block, mass in zip(part.blocks, orbit_mass):
         w[list(block)] = mass / len(block)
@@ -324,7 +383,7 @@ def action_to_dict(action: GroupAction) -> dict:
 
 
 def action_from_dict(d: dict) -> GroupAction:
-    group = FiniteGroup(np.array(d["cayley"], dtype=int))
+    group = FiniteGroup(d["cayley"])
     if group.order != int(d["order"]):
         raise BadGroupData("declared order does not match the Cayley table")
-    return GroupAction(group, tuple(d["space"]), np.array(d["action"], dtype=int))
+    return GroupAction(group, tuple(d["space"]), d["action"])

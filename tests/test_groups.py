@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +59,22 @@ class TestGroupAction:
         act = sign_flip_action([-1, 1])
         assert act.group.order == 2
         assert act.act(1, 0) == 1
+
+    def test_regular_action_of_s6(self):
+        # p = n = 720: the whole-table check would hold two (720, 720, 720) arrays
+        group = groups.group_from_permutations(symmetric_generators(6), range(6)).group
+        tracemalloc.start()
+        try:
+            act = groups.GroupAction(group, range(720), group.cayley)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert np.array_equal(act.table, group.cayley)
+        bad = group.cayley.copy()
+        bad[5, [3, 7]] = bad[5, [7, 3]]
+        with pytest.raises(BadGroupData, match="not compatible"):
+            groups.GroupAction(group, range(720), bad)
 
 
 class TestPermissible:
@@ -240,6 +260,15 @@ class TestInvariantMeasure:
         with pytest.raises(ValueError):
             groups.invariant_measure(act, orbit_mass=[1.0, 2.0])
 
+    @pytest.mark.parametrize("mass", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0]])
+    @pytest.mark.parametrize("probability", [False, True])
+    def test_non_finite_mass(self, mass, probability):
+        act = groups.GroupAction.trivial(("x", "y"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadGroupData, match="nonnegative"):
+                groups.invariant_measure(act, mass, probability=probability)
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -288,6 +317,7 @@ def assert_matches_reference(gens, p, maps=()):
     ref = reference_closure(gens, p)
     assert groups.action_to_dict(act) == ref
     assert act.group.cayley.dtype == int and act.table.dtype == int
+    assert_generates(act.group)
     e = act.group.identity
     assert e == 0
     for i in range(act.group.order):
@@ -309,6 +339,18 @@ def assert_matches_reference(gens, p, maps=()):
             induced = groups.induce_action(theta, act)
             assert induced.table.tolist() == [[m[row[x]] for x in rep]
                                               for row in ref["action"]]
+
+
+def assert_generates(group):
+    """_generators reaches every element by right multiplication, in <= log2(n)."""
+    gens = group._generators.tolist()
+    assert len(gens) <= math.log2(group.order)
+    reached, frontier = {group.identity}, [group.identity]
+    while frontier:
+        frontier = [group.mul(y, s) for y in frontier for s in gens]
+        frontier = [z for z in dict.fromkeys(frontier) if z not in reached]
+        reached.update(frontier)
+    assert reached == set(range(group.order))
 
 
 def symmetric_generators(n):
@@ -355,6 +397,148 @@ def test_closure_matches_reference_property(case):
     assert_matches_reference(gens, p, [m])
 
 
+def reference_compatible(group, table):
+    """The whole-table check: a[e] = id and a[g, a[h, x]] = a[gh, x] for all g, h, x."""
+    t = np.asarray(table)
+    return (np.array_equal(t[group.identity], np.arange(t.shape[1]))
+            and (np.take(t, t, axis=1) == np.take(t, group.cayley, axis=0)).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.permutations(range(p)), max_size=3),
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, p - 1))))
+def test_generator_compatibility_matches_whole_table_property(case):
+    p, gens, g, x, value = case
+    act = groups.group_from_permutations(gens, range(p))
+    assert reference_compatible(act.group, act.table)
+    bad = act.table.copy()
+    bad[g % act.group.order, x % p] = value
+    try:
+        groups.GroupAction(act.group, act.space, bad)
+        accepted = True
+    except BadGroupData:
+        accepted = False
+    assert accepted == reference_compatible(act.group, bad)
+
+
+def coset_twist(group, j):
+    """A row order alpha with alpha(g k) = alpha(g) k for every k in the subgroup K
+    generated by all generators but the j-th, and alpha = id on K.
+
+    An action table taken in this row order still obeys the compatibility law
+    for every h in K, so only the j-th generator's check can reject it.
+    """
+    others = [s for i, s in enumerate(group._generators.tolist()) if i != j]
+    cosets, seen = [], set()
+    for g in [group.identity, *range(group.order)]:
+        if g in seen:
+            continue
+        coset = [g]  # g K, closed by right multiplication
+        seen.add(g)
+        for y in coset:
+            for s in others:
+                z = group.mul(y, s)
+                if z not in seen:
+                    seen.add(z)
+                    coset.append(z)
+        cosets.append(coset)
+    # K stays put; every other coset g K goes to the next one, g to its last element
+    alpha = list(range(group.order))
+    for src, dst in zip(cosets[1:], cosets[2:] + cosets[1:2]):
+        r = src[0]
+        for x in src:
+            alpha[x] = group.mul(dst[-1], group.mul(group.inverse(r), x))
+    return alpha
+
+
+@pytest.mark.parametrize("gens, p", [
+    (symmetric_generators(3), 3), (symmetric_generators(4), 4),
+    (symmetric_generators(5), 5), ([[3, 0, 1, 2], [0, 3, 2, 1]], 4),
+    ([[1, 2, 0, 3, 4], [0, 1, 2, 4, 3]], 5), ([[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]], 6)])
+def test_every_generator_is_checked(gens, p):
+    act = groups.group_from_permutations(gens, range(p))
+    group = act.group
+    assert len(group._generators) >= 2
+    rejected = 0
+    for j in range(len(group._generators)):
+        alpha = coset_twist(group, j)
+        assert sorted(alpha) == list(range(group.order))
+        twisted = act.table[alpha]
+        try:
+            groups.GroupAction(group, act.space, twisted)
+            accepted = True
+        except BadGroupData:
+            accepted = False
+        assert accepted == reference_compatible(group, twisted)
+        rejected += not accepted
+    assert rejected  # some twists are automorphisms, which the law accepts
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square with first row and column 0..n-1 (a loop with identity 0)."""
+    t = np.zeros((n, n), dtype=int)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield t.copy()
+            return
+        i, j = cells[k]
+        for v in set(range(n)) - set(t[i, :j].tolist()) - set(t[:i, j].tolist()):
+            t[i, j] = v
+            yield from fill(k + 1)
+        t[i, j] = 0
+
+    return fill(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_light_associativity_matches_whole_table(n):
+    # every loop of order <= 6, up to the labels of rows and columns; loops of
+    # order 5 are the smallest non-associative ones, and some of order 6 need
+    # two generators
+    verdicts = []
+    for t in reduced_latin_squares(n):
+        whole = bool((t[t] == np.take(t, t, axis=1)).all())  # (xy)z = x(yz)
+        try:
+            groups.FiniteGroup(t)
+            accepted = True
+        except BadGroupData:
+            accepted = False
+        assert accepted == whole
+        verdicts.append(accepted)
+    assert len(verdicts) == [1, 1, 1, 4, 56, 9408][n - 1]
+    assert sum(verdicts) == [1, 1, 1, 4, 6, 80][n - 1]
+
+
+class TestIntegralTables:
+    @pytest.mark.parametrize("build", [
+        lambda entry: groups.FiniteGroup([[0, 1], [1, entry]]),
+        lambda entry: groups.GroupAction(Z2, ("x", "y"), [[0, 1], [1, entry]]),
+        lambda entry: groups.VariableMap(("x", "y"), ("u", "v"), [entry, 1]),
+    ])
+    @pytest.mark.parametrize("entry", [0.2, 1.9, np.nan, np.inf, 1e20, "0", None, 1j])
+    def test_non_integral_entry(self, build, entry):
+        with pytest.raises(BadGroupData, match="entries must be integers"):
+            build(entry)
+
+    def test_integral_floats_are_accepted(self):
+        assert groups.FiniteGroup([[0.0, 1.0], [1.0, 0.0]]).cayley.dtype == int
+        act = groups.GroupAction(Z2, ("x", "y"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert act.table.dtype == int and act.table.tolist() == [[0, 1], [1, 0]]
+        theta = groups.VariableMap(("x", "y"), ("u", "v"), [1.0, 0.0])
+        assert theta.index_map.dtype == int and theta.index_map.tolist() == [1, 0]
+
+    def test_loaded_tables_are_not_truncated(self):
+        d = groups.action_to_dict(sign_flip_action([-1, 1]))
+        d["action"][1][0] = 1.5
+        with pytest.raises(BadGroupData, match="entries must be integers"):
+            groups.action_from_dict(d)
+
+
 class TestWholeTableRejections:
     def test_non_latin_column(self):
         with pytest.raises(ValueError, match="Latin"):
@@ -385,6 +569,9 @@ ONE_POINT = groups.GroupAction.trivial(("x",))
     (lambda: groups.FiniteGroup(np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
                                           [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]])),
      "inverses inconsistent"),
+    (lambda: groups.FiniteGroup(np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])),
+     "not associative"),
     (lambda: groups.FiniteGroup(Z2.cayley, labels=("e",)), "labels length"),
     (lambda: groups.GroupAction(Z2, ("x", "y"), [[0, 1]]), "action table shape"),
     (lambda: groups.GroupAction(Z2, ("x", "y"), [[1, 0], [0, 1]]), "act trivially"),
@@ -395,6 +582,8 @@ ONE_POINT = groups.GroupAction.trivial(("x",))
     (lambda: groups.VariableMap(("x", "y"), ("u", "v"), [0, 0]), "image of the map"),
     (lambda: groups.invariant_measure(ONE_POINT, [1.0, 1.0]), "expected 1 orbit masses"),
     (lambda: groups.invariant_measure(ONE_POINT, [-1.0]), "nonnegative"),
+    (lambda: groups.FiniteGroup([[0, 1], [1, 0.5]]), "entries must be integers"),
+    (lambda: groups.FiniteGroup([[0, 1], [1]]), "rectangular array"),
     (lambda: groups.invariant_measure(ONE_POINT, [0.0], probability=True),
      "zero measure"),
     (lambda: groups.action_from_dict({"order": 3, "cayley": [[0]], "space": ["x"],
