@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert, spin
-from .errors import DimMismatch, NotMaximal
+from .errors import DimMismatch, DomainError, NotMaximal
 from .variables import AccessibleVariable, is_maximal
 
 CLAMP_WINDOW = 1e-12
@@ -90,8 +90,26 @@ def spin_half_transition(a, b, sign: int = +1) -> float:
     """(1 +/- a.b)/2: spin-1/2 transition probability between directions."""
     av, bv = spin.as_direction(a), spin.as_direction(b)
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise DomainError("sign must be +1 or -1")
     return _clamp(0.5 * (1.0 + sign * float(av @ bv)))
+
+
+def crossval(pairs: int, seed: int) -> dict:
+    """Proposition 1 on random direction pairs a, b (drawn in that order):
+    the worst gap between (1 + a.b)/2 and |<a;+|b;+>|^2 through the
+    eigenbases of the spin-1/2 component variables."""
+    if pairs < 1:
+        raise DomainError(f"need at least one pair, got {pairs}")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(pairs):
+        a = spin.unit(rng.normal(size=3))
+        b = spin.unit(rng.normal(size=3))
+        closed = spin_half_transition(a, b, +1)
+        va = AccessibleVariable.from_operator("a", spin.component_operator(1, a))
+        vb = AccessibleVariable.from_operator("b", spin.component_operator(1, b))
+        worst = max(worst, abs(closed - transition_probability(va, 1, vb, 1)))
+    return {"pairs": pairs, "max_deviation": worst}
 
 
 def _sign_projectors(a) -> dict:

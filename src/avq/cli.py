@@ -39,7 +39,7 @@ MAX_RESOLUTION_ORDER = 128
 def _parse_spin(text):
     try:
         two_r = spin.parse_spin(text)
-    except ValueError as exc:
+    except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if two_r > MAX_TWO_R:
         raise argparse.ArgumentTypeError(
@@ -101,10 +101,10 @@ def _emit(report: dict, fmt: str, out=None):
         text = "\n".join(lines) + "\n"
     else:  # csv is reserved for trial logs
         raise DomainError(f"format {fmt!r} not available for this report")
-    sys.stdout.write(text)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _require_seed(args, parser):
@@ -180,25 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_spin(args, parser):
     two_r = args.r
     report = {"two_r": two_r, "dim": two_r + 1}
-    ops = spin.spin_operators(two_r)
     if args.check:
-        comm0p = ops.az @ ops.plus - ops.plus @ ops.az - ops.plus
-        comm0m = ops.az @ ops.minus - ops.minus @ ops.az + ops.minus
-        commpm = (ops.minus @ ops.plus - ops.plus @ ops.minus
-                  + 2.0 * ops.az)
-        r = ops.r
-        casimir = ops.casimir() - r * (r + 1) * hilbert.identity(ops.dim)
-        full_turn = spin.rotation(two_r, [0.0, 0.0, 1.0], 2.0 * np.pi)
-        expected = -1.0 if two_r % 2 else 1.0
-        report["check"] = {
-            "commutation_residual": float(max(np.max(np.abs(comm0p)),
-                                              np.max(np.abs(comm0m)),
-                                              np.max(np.abs(commpm)))),
-            "casimir_residual": float(np.max(np.abs(casimir))),
-            "full_turn_sign": expected,
-            "full_turn_residual": float(np.max(np.abs(
-                full_turn - expected * hilbert.identity(ops.dim)))),
-        }
+        report["check"] = spin.algebra_residuals(two_r)
     if args.resolution_order is not None:
         report["resolution_deviation"] = spin.resolution_deviation(
             two_r, args.resolution_order)
@@ -213,19 +196,7 @@ def _cmd_born(args, parser):
     report = {}
     if args.crossval is not None:
         _require_seed(args, parser)
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(args.crossval):
-            a = spin.unit(rng.normal(size=3))
-            b = spin.unit(rng.normal(size=3))
-            closed = born.spin_half_transition(a, b, +1)
-            va = variables.AccessibleVariable.from_operator(
-                "a", spin.component_operator(1, a))
-            vb = variables.AccessibleVariable.from_operator(
-                "b", spin.component_operator(1, b))
-            abstract = born.transition_probability(va, 1, vb, 1)
-            worst = max(worst, abs(closed - abstract))
-        report["crossval"] = {"pairs": args.crossval, "max_deviation": worst}
+        report["crossval"] = born.crossval(args.crossval, args.seed)
     if args.a is not None and args.b is not None:
         closed = born.spin_half_transition(args.a, args.b, args.sign)
         report["transition"] = {"sign": args.sign, "closed_form": closed,
@@ -280,48 +251,15 @@ def _cmd_measure(args, parser):
     report = {}
     if args.random_check is not None:
         _require_seed(args, parser)
-        rng = np.random.default_rng(args.seed)
-        povm_worst = kraus_worst = bayes_worst = 0.0
-        for _ in range(args.random_check):
-            d = int(rng.integers(2, 6))
-            nx = int(rng.integers(2, 5))
-            lik = rng.random((nx, d))
-            lik /= lik.sum(axis=0, keepdims=True)
-            model = measurement.StatisticalModel(
-                np.arange(d, dtype=float), tuple(range(nx)), lik)
-            var = variables.AccessibleVariable(
-                "v", np.arange(d, dtype=float),
-                tuple(np.outer(e, e).astype(complex) for e in np.eye(d)))
-            povm = measurement.povm_of_model(model, var)
-            povm_worst = max(povm_worst, float(np.max(np.abs(
-                povm.effects.sum(0) - hilbert.identity(d)))))
-            amp = np.sqrt(lik)
-            inst = measurement.KrausInstrument(
-                tuple(np.diag(amp[k]).astype(complex) for k in range(nx)))
-            prior = rng.random(d)
-            prior /= prior.sum()
-            sigma = np.diag(prior).astype(complex)
-            probs = measurement.branch_probabilities(inst, sigma)
-            kraus_worst = max(kraus_worst, abs(float(probs.sum()) - 1.0))
-            j = int(np.argmax(probs))
-            kp, bp = measurement.diagonal_kraus_vs_bayes(inst, prior, j)
-            bayes_worst = max(bayes_worst, float(np.max(np.abs(kp - bp))))
-        report["random_check"] = {
-            "cases": args.random_check,
-            "povm_completeness_residual": povm_worst,
-            "kraus_probability_residual": kraus_worst,
-            "kraus_vs_bayes_residual": bayes_worst,
-        }
+        report["random_check"] = measurement.random_check(args.random_check, args.seed)
     if args.model and args.variable:
-        with open(args.model) as fh:
-            model = measurement.StatisticalModel.from_dict(json.load(fh))
-        with open(args.variable) as fh:
-            var = variables.variable_from_dict(json.load(fh))
+        model = measurement.StatisticalModel.from_dict(
+            _read_json(parser, "model", args.model))
+        var = variables.variable_from_dict(_read_json(parser, "variable", args.variable))
         povm = measurement.povm_of_model(model, var)
         entry = {"effects": [hilbert.operator_to_dict(e) for e in povm.effects]}
         if args.state:
-            with open(args.state) as fh:
-                sigma = hilbert.operator_from_dict(json.load(fh))
+            sigma = hilbert.operator_from_dict(_read_json(parser, "state", args.state))
             entry["data_probabilities"] = {
                 str(x): measurement.data_probability(sigma, model, var, x)
                 for x in model.sample_points}
@@ -358,6 +296,16 @@ _COMMANDS = {"spin": _cmd_spin, "born": _cmd_born, "chsh": _cmd_chsh,
              "inference": _cmd_inference}
 
 
+def _read_json(parser, what: str, path):
+    """The JSON document in the file at ``path``; a file that cannot be read
+    or parsed is a usage error naming ``what`` it should have held."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read {what} {path}: {exc}")
+
+
 def _config_defaults(sub, path) -> dict:
     """The config file's entries as argparse defaults of the subcommand.
 
@@ -365,11 +313,7 @@ def _config_defaults(sub, path) -> dict:
     as if typed after the flag (lists as comma-separated text); an on/off
     flag takes true or false.
     """
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        sub.error(f"cannot read config {path}: {exc}")
+    cfg = _read_json(sub, "config", path)
     if not isinstance(cfg, dict):
         sub.error(f"config {path} must hold a JSON object")
     actions = {a.dest: a for a in sub._actions}
@@ -401,7 +345,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
-    except (DomainError, ValueError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
+        # bad input (DomainError is a ValueError), a key missing from an
+        # input file, or an output path that cannot be written
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
 

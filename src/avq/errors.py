@@ -1,11 +1,12 @@
 """Exception hierarchy shared by all avq modules.
 
-Every contract violation raises a subclass of ``DomainError`` so that
-callers (and the CLI) can distinguish bad input from programming errors.
+Every contract violation raises ``DomainError``, a ``ValueError``, or a
+subclass of it, so that callers (and the CLI) can tell bad input from
+programming errors.
 """
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     """Base class for all avq contract violations."""
 
 
@@ -45,11 +46,8 @@ class SpaceMismatch(DomainError):
     pass
 
 
-class BadGroupData(DomainError, ValueError):
-    """A group table, action, map or orbit measure breaks its definition.
-
-    Also a ``ValueError``, which these checks raised before they had a
-    class of their own."""
+class BadGroupData(DomainError):
+    """A group table, action, map or orbit measure breaks its definition."""
 
 
 class NotPermissible(DomainError):

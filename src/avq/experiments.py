@@ -19,6 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import born, spin, variables
+from .errors import DomainError
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
                              # closed-form orthant value is ~0.3918
@@ -59,7 +60,7 @@ class ChshConfig:
 
     def __post_init__(self):
         if self.n_trials < 1:
-            raise ValueError("need at least one trial")
+            raise DomainError("need at least one trial")
 
     def angles(self):
         return {("a", "b"): (self.a, self.b),
@@ -188,7 +189,7 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
     the angles and s are those of the full O(N^3) scan, to the bit.
     """
     if not 0.0 < resolution_deg <= 5.0:
-        raise ValueError("resolution must be above 0 and at most 5 degrees")
+        raise DomainError("resolution must be above 0 and at most 5 degrees")
     grid = np.arange(0.0, 360.0, resolution_deg)
     rad = np.deg2rad(grid)
     rows = max(1, _BLOCK_ENTRIES // len(rad))
@@ -234,6 +235,8 @@ def _near_extremes(h: np.ndarray) -> tuple:
 # Contrast coefficients: each treatment effect against the mean of the rest.
 _CONTRAST_A = [Fraction(1), Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3)]
 _CONTRAST_B = [Fraction(-1, 3), Fraction(1), Fraction(-1, 3), Fraction(-1, 3)]
+_FLOAT_A = np.array([float(c) for c in _CONTRAST_A])
+_FLOAT_B = np.array([float(c) for c in _CONTRAST_B])
 
 # Orthogonal half-coefficient transform to the contrast subspace.
 PSI_MATRIX = [[Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
@@ -263,9 +266,7 @@ def medical_contrasts():
 
 def zeta_contrasts(mu) -> tuple:
     m = np.asarray(mu, dtype=float)
-    ca = np.array([float(c) for c in _CONTRAST_A])
-    cb = np.array([float(c) for c in _CONTRAST_B])
-    return float(ca @ m), float(cb @ m)
+    return float(_FLOAT_A @ m), float(_FLOAT_B @ m)
 
 
 def psi_transform(mu):
@@ -295,13 +296,11 @@ def medical_bayes(n_samples: int, seed: int) -> MedicalBayes:
     bivariate-normal orthant value at the exact correlation -1/3.
     """
     if n_samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
+        raise DomainError("need at least 10^4 samples")
     rng = np.random.default_rng(seed)
     mu = rng.standard_normal((4, n_samples))
-    ca = np.array([float(c) for c in _CONTRAST_A])
-    cb = np.array([float(c) for c in _CONTRAST_B])
-    za = ca @ mu
-    zb = cb @ mu
+    za = _FLOAT_A @ mu
+    zb = _FLOAT_B @ mu
     cond = za > 0
     n_cond = int(cond.sum())
     p = float(np.mean(zb[cond] > 0))

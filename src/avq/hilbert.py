@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BadDistribution, DimMismatch, NotEffect, NotFinite,
-                     NotHermitian, NotProjector, NotUnitary)
+from .errors import (BadDistribution, DimMismatch, DomainError, NotEffect,
+                     NotFinite, NotHermitian, NotProjector, NotUnitary)
 
 # Default tolerances.  Symmetry/unitarity/projector checks are absolute on
 # matrix entries; eigenvalue merging is relative to the eigenvalue scale.
@@ -64,7 +64,7 @@ def as_operator_stack(ops, what: str) -> np.ndarray:
 def as_state(v) -> np.ndarray:
     """Coerce to a unit-norm complex vector."""
     s = np.asarray(v, dtype=complex).reshape(-1)
-    require(abs(np.linalg.norm(s) - 1.0), STATE_NORM_TOL, ValueError, "state |norm - 1|")
+    require(abs(np.linalg.norm(s) - 1.0), STATE_NORM_TOL, DomainError, "state |norm - 1|")
     return s
 
 
@@ -77,20 +77,23 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_operator(a)
-    return np.max(np.abs(m - dagger(m))) <= tol
+def hermitian_residual(a) -> float:
+    """max |A - A^dag| over the entries of a matrix, or of a whole stack."""
+    m = np.asarray(a)
+    return float(np.abs(m - dagger(m)).max())
+
+
+def effect_residual(f) -> float:
+    """How far the spectrum of a Hermitian F, or of every member of a stack,
+    reaches beyond [0, 1]: max(-least eigenvalue, greatest eigenvalue - 1)."""
+    w = np.linalg.eigvalsh(f)
+    return float(max(-w.min(), w.max() - 1.0))
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = as_operator(a)
-    require(np.max(np.abs(m - dagger(m))), tol, NotHermitian, "max |A - A^dag|")
+    require(hermitian_residual(m), tol, NotHermitian, "max |A - A^dag|")
     return m
-
-
-def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
-    m = as_operator(a)
-    return np.max(np.abs(dagger(m) @ m - identity(m.shape[0]))) <= tol
 
 
 def require_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -102,24 +105,16 @@ def require_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
 
 def require_projector(p, tol: float = PROJECTOR_TOL) -> np.ndarray:
     m = as_operator(p)
-    require(np.max(np.abs(m - dagger(m))), tol, NotProjector, "max |P - P^dag|")
+    require(hermitian_residual(m), tol, NotProjector, "max |P - P^dag|")
     require(np.max(np.abs(m @ m - m)), tol, NotProjector, "max |P^2 - P|")
     return m
 
 
-def is_effect(f, tol: float = EFFECT_TOL) -> bool:
+def require_effect(f, tol: float = EFFECT_TOL) -> np.ndarray:
     """0 <= F <= I within tolerance (Hermitian with spectrum in [0, 1])."""
     m = as_operator(f)
-    if not is_hermitian(m, tol):
-        return False
-    w = np.linalg.eigvalsh(m)
-    return w[0] >= -tol and w[-1] <= 1.0 + tol
-
-
-def require_effect(f, tol: float = EFFECT_TOL) -> np.ndarray:
-    m = as_operator(f)
-    if not is_effect(m, tol):
-        raise NotEffect("operator is not an effect (0 <= F <= I)")
+    require(hermitian_residual(m), tol, NotEffect, "max |F - F^dag|")
+    require(effect_residual(m), tol, NotEffect, "spectral excess beyond [0, 1]")
     return m
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import BadDistribution, NotFinite, ZeroEvidence
+from .errors import BadDistribution, DimMismatch, DomainError, NotFinite, ZeroEvidence
 
 
 def _std_normal_cdf(x: float) -> float:
@@ -33,11 +33,11 @@ class DiscretePrior:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
         if v.shape != w.shape:
-            raise ValueError("values and weights must have equal length")
+            raise DimMismatch("values and weights must have equal length")
         if not np.isfinite(v).all():
             raise NotFinite(f"values {v} are not finite")
         if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+            raise BadDistribution("weights must be nonnegative")
         hilbert.require(abs(w.sum() - 1.0), 1e-12, BadDistribution,
                         "|sum of weights - 1|")
 
@@ -50,7 +50,7 @@ class SimulationSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need at least one replicate")
+            raise DomainError("need at least one replicate")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -64,9 +64,9 @@ class IntervalEstimate:
 
     def __post_init__(self):
         if self.lower > self.upper:
-            raise ValueError("interval endpoints are out of order")
+            raise DomainError("interval endpoints are out of order")
         if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie in (0, 1)")
+            raise DomainError("level must lie in (0, 1)")
 
     def contains(self, x) -> bool:
         return bool(self.lower <= x <= self.upper)
@@ -93,6 +93,14 @@ def posterior_mean(posterior: DiscretePrior) -> float:
     return float(posterior.values @ posterior.weights)
 
 
+def _replicate_estimates(estimator, sampler, spec: SimulationSpec) -> np.ndarray:
+    """estimator(sampler(rng, theta)) for each of the spec's n replicates,
+    drawn in order from one generator seeded by the spec."""
+    rng = spec.rng()
+    return np.array([float(estimator(sampler(rng, spec.theta)))
+                     for _ in range(spec.n)])
+
+
 def mse_decompose(estimator, sampler, spec: SimulationSpec):
     """Empirical (mse, variance, bias^2) of an estimator.
 
@@ -100,10 +108,7 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
     returns a point estimate.  The decomposition mse = var + bias^2 holds
     exactly on the same-sample moments.
     """
-    rng = spec.rng()
-    est = np.array([float(estimator(sampler(rng, spec.theta)))
-                    for _ in range(spec.n)])
-    err = est - spec.theta
+    err = _replicate_estimates(estimator, sampler, spec) - spec.theta
     mse = float(np.mean(err ** 2))
     bias_sq = float(np.mean(err)) ** 2
     return mse, mse - bias_sq, bias_sq
@@ -112,7 +117,7 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
 def credibility_interval(posterior, level: float) -> IntervalEstimate:
     """Equal-tail interval from posterior samples or a DiscretePrior."""
     if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
+        raise DomainError("level must lie in (0, 1)")
     alpha = 1.0 - level
     if isinstance(posterior, DiscretePrior):
         order = np.argsort(posterior.values)
@@ -152,9 +157,7 @@ def p_value_one_sided(sampler, estimator, observed: float,
         return 1.0
     if observed == np.inf:
         return 0.0
-    rng = spec.rng()
-    est = np.array([float(estimator(sampler(rng, spec.theta)))
-                    for _ in range(spec.n)])
+    est = _replicate_estimates(estimator, sampler, spec)
     p = np.mean(est > observed)
     if discrete_ties:
         p += 0.5 * np.mean(est == observed)
@@ -184,7 +187,7 @@ def prop2_experiment(c1: float, c2: float, spec: SimulationSpec) -> EquivalenceR
     data draw and one posterior draw per replicate, in canonical order.
     """
     if c1 >= c2:
-        raise ValueError("need c1 < c2")
+        raise DomainError("need c1 < c2")
     rng = spec.rng()
     x = spec.theta + rng.standard_normal(spec.n)
     theta_post = x + rng.standard_normal(spec.n)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect,
-                     NotFinite, ValueMismatch, ZeroProbabilityBranch)
+from .errors import (BadDistribution, DimMismatch, DomainError, NotDiagonal,
+                     NotEffect, NotFinite, ValueMismatch, ZeroProbabilityBranch)
 from .variables import AccessibleVariable
 
 MODEL_TOL = 1e-10
@@ -96,10 +96,9 @@ class Povm:
     def __post_init__(self):
         effs = hilbert.as_operator_stack(self.effects, "effect")
         object.__setattr__(self, "effects", effs)
-        hilbert.require(np.abs(effs - hilbert.dagger(effs)).max(), hilbert.EFFECT_TOL,
+        hilbert.require(hilbert.hermitian_residual(effs), hilbert.EFFECT_TOL,
                         NotEffect, "max |F - F^dag| over the effects")
-        w = np.linalg.eigvalsh(effs)
-        hilbert.require(max(-w.min(), w.max() - 1.0), hilbert.EFFECT_TOL, NotEffect,
+        hilbert.require(hilbert.effect_residual(effs), hilbert.EFFECT_TOL, NotEffect,
                         "effects' spectral excess beyond [0, 1]")
         hilbert.require(np.abs(effs.sum(0) - hilbert.identity(effs.shape[1])).max(),
                         MODEL_TOL, BadDistribution, "max |sum of effects - I|")
@@ -206,3 +205,37 @@ def data_probability(sigma, m: StatisticalModel, v: AccessibleVariable, x) -> fl
     sm = hilbert.require_density(sigma)
     f = likelihood_effect(m, v, x)
     return float(np.real(hilbert.trace_product(f, sm)))
+
+
+def random_check(cases: int, seed: int) -> dict:
+    """Worst POVM completeness, Kraus branch-sum and Kraus-versus-Bayes
+    residuals over random models in dimension 2-5, each with the diagonal
+    instrument diag(sqrt(p(x|.))) and a random prior."""
+    if cases < 1:
+        raise DomainError(f"need at least one case, got {cases}")
+    rng = np.random.default_rng(seed)
+    povm_worst = kraus_worst = bayes_worst = 0.0
+    for _ in range(cases):
+        d = int(rng.integers(2, 6))
+        nx = int(rng.integers(2, 5))
+        lik = rng.random((nx, d))
+        lik /= lik.sum(axis=0, keepdims=True)
+        model = StatisticalModel(np.arange(d, dtype=float), tuple(range(nx)), lik)
+        var = AccessibleVariable(
+            "v", np.arange(d, dtype=float),
+            tuple(np.outer(e, e).astype(complex) for e in np.eye(d)))
+        povm = povm_of_model(model, var)
+        povm_worst = max(povm_worst, float(np.max(np.abs(
+            povm.effects.sum(0) - hilbert.identity(d)))))
+        amp = np.sqrt(lik)
+        inst = KrausInstrument(tuple(np.diag(amp[k]).astype(complex) for k in range(nx)))
+        prior = rng.random(d)
+        prior /= prior.sum()
+        probs = branch_probabilities(inst, np.diag(prior).astype(complex))
+        kraus_worst = max(kraus_worst, abs(float(probs.sum()) - 1.0))
+        kp, bp = diagonal_kraus_vs_bayes(inst, prior, int(np.argmax(probs)))
+        bayes_worst = max(bayes_worst, float(np.max(np.abs(kp - bp))))
+    return {"cases": cases,
+            "povm_completeness_residual": povm_worst,
+            "kraus_probability_residual": kraus_worst,
+            "kraus_vs_bayes_residual": bayes_worst}

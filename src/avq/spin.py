@@ -14,14 +14,14 @@ from functools import cache
 import numpy as np
 
 from . import hilbert
-from .errors import NotFinite
+from .errors import DomainError, NotFinite
 
 DIRECTION_TOL = 1e-12
 
 
 def as_direction(a) -> np.ndarray:
     v = np.asarray(a, dtype=float).reshape(3)
-    hilbert.require(abs(np.linalg.norm(v) - 1.0), DIRECTION_TOL, ValueError,
+    hilbert.require(abs(np.linalg.norm(v) - 1.0), DIRECTION_TOL, DomainError,
                     "direction |norm - 1|")
     return v
 
@@ -33,7 +33,7 @@ def unit(a) -> np.ndarray:
         raise NotFinite(f"direction {v} is not finite")
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+        raise DomainError("cannot normalize the zero vector")
     return v / nrm
 
 
@@ -81,7 +81,7 @@ def spin_operators(two_r: int) -> SpinOperators:
     are cached, and every caller shares them.
     """
     if two_r < 0 or int(two_r) != two_r:
-        raise ValueError("two_r must be a nonnegative integer")
+        raise DomainError("two_r must be a nonnegative integer")
     two_r = int(two_r)
     return (_cached_ladder if two_r < CACHED_DIM else _ladder)(two_r)
 
@@ -109,6 +109,27 @@ def rotation(two_r: int, n, omega: float) -> np.ndarray:
     h = ops.along(n)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * omega * w)) @ hilbert.dagger(v)
+
+
+def algebra_residuals(two_r: int) -> dict:
+    """Max-norm residuals of the spin-r algebra: the commutation relations
+    [A_z, A_+] = A_+, [A_z, A_-] = -A_- and [A_-, A_+] = -2 A_z, the
+    Casimir A.A = r(r+1) I, and the 2 pi turn exp(2 pi i A_z) = (-1)^(2r) I,
+    whose sign is reported with it."""
+    ops = spin_operators(two_r)
+    eye = hilbert.identity(ops.dim)
+    commutators = (ops.az @ ops.plus - ops.plus @ ops.az - ops.plus,
+                   ops.az @ ops.minus - ops.minus @ ops.az + ops.minus,
+                   ops.minus @ ops.plus - ops.plus @ ops.minus + 2.0 * ops.az)
+    sign = -1.0 if two_r % 2 else 1.0
+    full_turn = rotation(two_r, [0.0, 0.0, 1.0], 2.0 * np.pi)
+    return {
+        "commutation_residual": float(max(np.max(np.abs(c)) for c in commutators)),
+        "casimir_residual": float(np.max(np.abs(
+            ops.casimir() - ops.r * (ops.r + 1) * eye))),
+        "full_turn_sign": sign,
+        "full_turn_residual": float(np.max(np.abs(full_turn - sign * eye))),
+    }
 
 
 def rotation_matrix(n, omega: float) -> np.ndarray:
@@ -142,7 +163,7 @@ def coherent_states(two_r: int, dirs) -> np.ndarray:
     """
     a = np.asarray(dirs, dtype=float).reshape(-1, 3)
     hilbert.require(np.abs(np.linalg.norm(a, axis=1) - 1.0).max(initial=0.0),
-                    DIRECTION_TOL, ValueError, "direction |norm - 1|")
+                    DIRECTION_TOL, DomainError, "direction |norm - 1|")
     k = np.arange(two_r + 1)
     half = np.arctan2(np.hypot(a[:, :1], a[:, 1:2]), a[:, 2:]) / 2.0
     binom = np.array([math.comb(two_r, j) for j in k], dtype=float)
@@ -180,7 +201,7 @@ def resolution_deviation(two_r: int, order: int) -> float:
     if d == 1:
         return 0.0
     if order < two_r + 2:
-        raise ValueError(f"quadrature order {order} < 2r+2 = {two_r + 2}")
+        raise DomainError(f"quadrature order {order} < 2r+2 = {two_r + 2}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     phis = 2.0 * np.pi * np.arange(order) / order
     c, phi = np.repeat(nodes, order), np.tile(phis, order)
@@ -195,7 +216,7 @@ def parse_spin(text: str) -> int:
     """Parse '1', '1/2', '0.5', '3/2' ... into two_r.
 
     Anything but a finite nonnegative half-integer, such as 'inf', 'nan' or
-    '1/0', raises ValueError.
+    '1/0', raises DomainError.
     """
     parts = text.split("/")
     try:
@@ -206,5 +227,5 @@ def parse_spin(text: str) -> int:
     twice = 2.0 * num / den if den != 0 else math.nan
     if (len(parts) > 2 or not all(map(math.isfinite, (num, den, twice)))
             or twice < 0 or abs(twice - round(twice)) > 1e-9):
-        raise ValueError(f"spin must be a nonnegative half-integer, got {text!r}")
+        raise DomainError(f"spin must be a nonnegative half-integer, got {text!r}")
     return round(twice)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimMismatch, NotPermutation, NotProjector
+from .errors import DimMismatch, DomainError, NotPermutation, NotProjector
 
 # values closer than this are one value; eig_hermitian's levels lie farther apart
 VALUE_GAP_TOL = hilbert.EIGEN_MERGE_TOL
@@ -28,12 +28,9 @@ class AccessibleVariable(hilbert.EigenDecomposition):
 
     def __init__(self, name, values, projectors):
         """One orthogonal projector per value; they must sum to I."""
-        projs = np.asarray(projectors, dtype=complex)
-        if (projs.ndim != 3 or projs.shape[1] != projs.shape[2]
-                or not np.isfinite(projs).all()):
-            raise ValueError("need one finite square projector per value")
-        hilbert.require(np.abs(projs - projs.conj().transpose(0, 2, 1)).max(),
-                        hilbert.PROJECTOR_TOL, NotProjector, "max |P - P^dag|")
+        projs = hilbert.as_operator_stack(projectors, "projector")
+        hilbert.require(hilbert.hermitian_residual(projs), hilbert.PROJECTOR_TOL,
+                        NotProjector, "max |P - P^dag|")
         # the eigenvalue j of sum_j j P_j marks the columns of group j
         k = len(projs)
         w, vecs = np.linalg.eigh(np.einsum("j,jab->ab", np.arange(k), projs))
@@ -41,7 +38,7 @@ class AccessibleVariable(hilbert.EigenDecomposition):
         self._set(name, values, vecs, np.bincount(group, minlength=k))
         # P_j = V_j V_j^dag for every j makes the P_j orthogonal and complete
         hilbert.require(np.abs(projs - _projector_stack(self.basis, self.sizes)).max(),
-                        hilbert.PROJECTOR_TOL, ValueError, "max |P_j - V_j V_j^dag|")
+                        hilbert.PROJECTOR_TOL, NotProjector, "max |P_j - V_j V_j^dag|")
 
     def _set(self, name, values, basis, sizes):
         vals = np.asarray(values, dtype=float).reshape(-1)
@@ -49,11 +46,11 @@ class AccessibleVariable(hilbert.EigenDecomposition):
         basis = hilbert.require_unitary(basis)
         vars(self).update(name=name, eigenvalues=vals, basis=basis, sizes=sizes)
         if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
-            raise ValueError(f"sizes {sizes} do not split dim {len(basis)} "
-                             f"among {len(vals)} values")
+            raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
+                              f"among {len(vals)} values")
         ordered = np.sort(vals)
         if not (np.isfinite(ordered).all() and (np.diff(ordered) > VALUE_GAP_TOL).all()):
-            raise ValueError(f"values {vals} are not finite and distinct")
+            raise DomainError(f"values {vals} are not finite and distinct")
 
     def ranks(self) -> np.ndarray:
         return self.sizes

@@ -27,23 +27,9 @@ def report(num, ok, detail):
     assert ok, line
 
 
-def direction_variable(a, name):
-    return variables.AccessibleVariable.from_operator(
-        name, spin.component_operator(1, a))
-
-
 def test_criterion_01_proposition1_crossval():
-    rng = np.random.default_rng(1)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(500):
-        a = spin.unit(rng.normal(size=3))
-        b = spin.unit(rng.normal(size=3))
-        va = direction_variable(a, "a")
-        vb = direction_variable(b, "b")
-        abstract = born.transition_probability(va, 1, vb, 1)
-        closed = 0.5 * (1.0 + float(a @ b))
-        worst = max(worst, abs(abstract - closed))
+    worst = born.crossval(500, 1)["max_deviation"]
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-10 and elapsed < 1.0,
            f"max |abstract - closed| = {worst:.2e}, {elapsed:.2f} s")
@@ -84,16 +70,9 @@ def test_criterion_04_chsh():
 
 
 def test_criterion_05_spin_algebra():
-    worst_comm = worst_cas = 0.0
-    for two_r in range(21):
-        ops = spin.spin_operators(two_r)
-        c1 = ops.az @ ops.plus - ops.plus @ ops.az - ops.plus
-        c2 = ops.az @ ops.minus - ops.minus @ ops.az + ops.minus
-        c3 = ops.minus @ ops.plus - ops.plus @ ops.minus + 2.0 * ops.az
-        worst_comm = max(worst_comm, *(float(np.max(np.abs(c)))
-                                       for c in (c1, c2, c3)))
-        cas = ops.casimir() - ops.r * (ops.r + 1) * np.eye(ops.dim)
-        worst_cas = max(worst_cas, float(np.max(np.abs(cas))))
+    checks = [spin.algebra_residuals(two_r) for two_r in range(21)]
+    worst_comm = max(c["commutation_residual"] for c in checks)
+    worst_cas = max(c["casimir_residual"] for c in checks)
     n = spin.unit([1.0, 2.0, 2.0])
     half_sign = np.max(np.abs(spin.rotation(1, n, 2 * np.pi) + np.eye(2)))
     int_sign = np.max(np.abs(spin.rotation(2, n, 2 * np.pi) - np.eye(3)))

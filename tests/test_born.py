@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from avq import born, hilbert, spin, variables
-from avq.errors import DimMismatch, NotMaximal, NotProjector
+from avq.errors import DimMismatch, DomainError, NotMaximal, NotProjector
 
 from conftest import random_density, random_maximal_variable, random_state
 
@@ -141,6 +141,18 @@ class TestSpinHalfTransition:
             # +1/2 answers at index 1 (ascending values)
             p = born.transition_probability(va, 1, vb, 1)
             assert abs(p - born.spin_half_transition(a, b, +1)) < 1e-10
+
+
+class TestCrossval:
+    def test_same_seed_same_report(self):
+        report = born.crossval(25, 3)
+        assert report == born.crossval(25, 3)
+        assert report["pairs"] == 25 and report["max_deviation"] < 1e-10
+
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_needs_a_pair(self, pairs):
+        with pytest.raises(DomainError, match="at least one pair"):
+            born.crossval(pairs, 1)
 
 
 class TestSingletJoint:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -100,7 +101,7 @@ class TestMedicalCommand:
     def test_too_few_samples_is_domain_error(self):
         proc = run_cli("medical", "--n", "10", "--seed", "2")
         assert proc.returncode == 1
-        assert "ValueError" in proc.stderr
+        assert "DomainError" in proc.stderr
 
 
 class TestMeasureCommand:
@@ -145,6 +146,45 @@ class TestMeasureCommand:
         proc = run_cli("measure", "--model", str(mp), "--variable", str(vp))
         assert proc.returncode == 1
         assert "ValueMismatch" in proc.stderr
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("flag", ["model", "variable", "state"])
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_input_is_usage_error(self, tmp_path, flag, content):
+        files = {name: GOLDEN / f"{name}.json" for name in ("model", "variable", "state")}
+        files[flag] = tmp_path / "bad.json"
+        if content is not None:
+            files[flag].write_text(content)
+        proc = run_cli("measure", *(x for name, path in files.items()
+                                    for x in (f"--{name}", str(path))))
+        assert proc.returncode == 2
+        assert f"cannot read {flag}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_missing_model_key_is_one_line(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"parameters": [0.0, 1.0],
+                                     "likelihood": [[0.8, 0.2], [0.2, 0.8]]}))
+        proc = run_cli("measure", "--model", str(model),
+                       "--variable", str(GOLDEN / "variable.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == "KeyError: 'samples'\n"
+
+    @pytest.mark.parametrize("args", [
+        ("born", "--a", "0,0,1", "--b", "1,0,0", "--out"),
+        ("chsh", "--angles", "0,90,45,135", "--n", "10", "--seed", "1",
+         "--format", "csv", "--out"),
+    ])
+    def test_unwritable_output_is_one_line(self, tmp_path, args):
+        proc = run_cli(*args, str(tmp_path / "missing" / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("FileNotFoundError: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestInferenceCommand:

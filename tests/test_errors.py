@@ -1,0 +1,50 @@
+"""Every contract check of the library raises a ``DomainError``, which is a
+``ValueError``; ``tests/test_groups.py`` covers the checks in ``groups``."""
+
+import numpy as np
+import pytest
+
+from avq import born, experiments, hilbert, inference, spin, variables
+from avq.errors import (BadDistribution, DimMismatch, DomainError, NotFinite,
+                        NotProjector)
+
+EYE2 = np.eye(2, dtype=complex)
+# a projector family that is not orthogonal: diag(1, 0) and |+><+|
+LEANING = (np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: born.spin_half_transition([0, 0, 1], [0, 0, 1], 0), DomainError, "sign"),
+    (lambda: experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 0, 1), DomainError, "one trial"),
+    (lambda: experiments.chsh_quantum_max(0.0), DomainError, "resolution"),
+    (lambda: experiments.medical_bayes(10, 1), DomainError, "10\\^4 samples"),
+    (lambda: hilbert.as_state([1.0, 1.0]), DomainError, "state \\|norm - 1\\|"),
+    (lambda: inference.DiscretePrior([0.0, 1.0], [1.0]), DimMismatch, "equal length"),
+    (lambda: inference.DiscretePrior([0.0, 1.0], [1.5, -0.5]), BadDistribution,
+     "nonnegative"),
+    (lambda: inference.SimulationSpec(0, 1), DomainError, "one replicate"),
+    (lambda: inference.IntervalEstimate(1.0, 0.0, 0.5), DomainError, "out of order"),
+    (lambda: inference.IntervalEstimate(0.0, 1.0, 1.0), DomainError, "level"),
+    (lambda: inference.credibility_interval([0.0, 1.0], 1.5), DomainError, "level"),
+    (lambda: inference.prop2_experiment(1.0, 0.0, inference.SimulationSpec(10, 1)),
+     DomainError, "c1 < c2"),
+    (lambda: spin.as_direction([1.0, 1.0, 0.0]), DomainError, "direction"),
+    (lambda: spin.unit([0.0, 0.0, 0.0]), DomainError, "zero vector"),
+    (lambda: spin.spin_operators(-1), DomainError, "two_r"),
+    (lambda: spin.coherent_states(1, [[1.0, 1.0, 0.0]]), DomainError, "direction"),
+    (lambda: spin.resolution_deviation(2, 3), DomainError, "quadrature order"),
+    (lambda: spin.parse_spin("1/3"), DomainError, "half-integer"),
+    (lambda: variables.AccessibleVariable("v", [0.0], EYE2), DimMismatch, "square"),
+    (lambda: variables.AccessibleVariable("v", [0.0, 1.0], (EYE2, np.nan * EYE2)),
+     NotFinite, "finite"),
+    (lambda: variables.AccessibleVariable("v", [0.0, 1.0], LEANING), NotProjector,
+     "V_j V_j"),
+    (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], EYE2, [2]),
+     DimMismatch, "do not split"),
+    (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 0.0], EYE2, [1, 1]),
+     DomainError, "distinct"),
+])
+def test_every_library_check_raises_a_domain_error(build, error, message):
+    with pytest.raises(DomainError, match=message) as info:
+        build()
+    assert type(info.value) is error and isinstance(info.value, ValueError)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import hilbert, measurement
-from avq.errors import DimMismatch, NotFinite, NotHermitian, NotProjector, NotUnitary
+from avq.errors import (DimMismatch, NotEffect, NotFinite, NotHermitian, NotProjector,
+                        NotUnitary)
 
 from conftest import SX, SY, SZ, random_hermitian, random_state, random_unitary
 
@@ -93,7 +94,7 @@ class TestConjugate:
             u = random_unitary(rng, d)
             a = random_hermitian(rng, d)
             c = hilbert.conjugate(u, a)
-            assert hilbert.is_hermitian(c, 1e-9)
+            hilbert.require_hermitian(c, 1e-9)
             assert np.max(np.abs(np.linalg.eigvalsh(c)
                                  - np.linalg.eigvalsh(a))) < 1e-8
 
@@ -136,9 +137,10 @@ class TestPredicates:
             hilbert.require_projector(0.5 * p)
 
     def test_effect_bounds(self):
-        assert hilbert.is_effect(0.3 * np.eye(2))
-        assert not hilbert.is_effect(1.5 * np.eye(2))
-        assert not hilbert.is_effect(-0.1 * np.eye(2))
+        hilbert.require_effect(0.3 * np.eye(2))
+        for bad in (1.5 * np.eye(2), -0.1 * np.eye(2)):
+            with pytest.raises(NotEffect):
+                hilbert.require_effect(bad)
 
     def test_density(self, rng):
         hilbert.require_density(np.eye(3) / 3)

@@ -178,7 +178,7 @@ class TestLikelihoodEffect:
             v = variables.AccessibleVariable(v.name, np.arange(d, dtype=float),
                                              v.projectors)
             f = measurement.likelihood_effect(m, v, int(rng.integers(nx)))
-            assert hilbert.is_effect(f, 1e-10)
+            hilbert.require_effect(f, 1e-10)
 
 
 class TestPovm:
@@ -383,6 +383,21 @@ class TestDataProbability:
         total = sum(measurement.data_probability(sigma, m, v, x)
                     for x in m.sample_points)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestRandomCheck:
+    def test_same_seed_same_report(self):
+        report = measurement.random_check(20, 4)
+        assert report == measurement.random_check(20, 4)
+        assert report["cases"] == 20
+        assert report["povm_completeness_residual"] < 1e-10
+        assert report["kraus_probability_residual"] < 1e-10
+        assert report["kraus_vs_bayes_residual"] < 1e-12
+
+    @pytest.mark.parametrize("cases", [0, -2])
+    def test_needs_a_case(self, cases):
+        with pytest.raises(DomainError, match="at least one case"):
+            measurement.random_check(cases, 1)
 
 
 class TestFocusedLikelihood:

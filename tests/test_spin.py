@@ -9,6 +9,21 @@ def random_direction(rng):
     return spin.unit(rng.normal(size=3))
 
 
+def inline_residuals(two_r):
+    """Max-norm residuals of the commutation relations, the Casimir and the
+    2 pi turn exp(2 pi i A_z) = (-1)^(2r) I, written out independently of
+    spin.algebra_residuals."""
+    ops = spin.spin_operators(two_r)
+    c1 = ops.az @ ops.plus - ops.plus @ ops.az - ops.plus
+    c2 = ops.az @ ops.minus - ops.minus @ ops.az + ops.minus
+    c3 = ops.minus @ ops.plus - ops.plus @ ops.minus + 2.0 * ops.az
+    r = ops.r
+    casimir = ops.casimir() - r * (r + 1) * np.eye(ops.dim)
+    turn = np.diag(np.exp(2j * np.pi * ops.m_values)) - (-1) ** two_r * np.eye(ops.dim)
+    return (max(np.max(np.abs(c)) for c in (c1, c2, c3)),
+            np.max(np.abs(casimir)), np.max(np.abs(turn)))
+
+
 class TestSpinOperators:
     def test_half_az(self):
         ops = spin.spin_operators(1)
@@ -25,19 +40,21 @@ class TestSpinOperators:
 
     def test_commutation_all_r(self):
         for two_r in range(21):
-            ops = spin.spin_operators(two_r)
-            c1 = ops.az @ ops.plus - ops.plus @ ops.az - ops.plus
-            c2 = ops.az @ ops.minus - ops.minus @ ops.az + ops.minus
-            c3 = ops.minus @ ops.plus - ops.plus @ ops.minus + 2.0 * ops.az
-            for c in (c1, c2, c3):
-                assert np.max(np.abs(c)) < 1e-12
+            assert inline_residuals(two_r)[0] < 1e-12
 
     def test_casimir_all_r(self):
         for two_r in range(21):
-            ops = spin.spin_operators(two_r)
-            r = ops.r
-            assert np.max(np.abs(ops.casimir()
-                                 - r * (r + 1) * np.eye(ops.dim))) < 1e-10
+            assert inline_residuals(two_r)[1] < 1e-10
+
+    @pytest.mark.parametrize("two_r", range(21))
+    def test_algebra_residuals_match_inline(self, two_r):
+        report = spin.algebra_residuals(two_r)
+        comm, cas, turn = inline_residuals(two_r)
+        assert report["full_turn_sign"] == (-1.0) ** two_r
+        assert report["commutation_residual"] == pytest.approx(comm, abs=1e-12)
+        assert report["casimir_residual"] == pytest.approx(cas, abs=1e-12)
+        assert report["full_turn_residual"] == pytest.approx(turn, abs=1e-12)
+        assert turn < 1e-10
 
     def test_eigen_relation(self):
         ops = spin.spin_operators(3)
@@ -98,7 +115,7 @@ class TestRotation:
     def test_unitary(self, rng):
         for _ in range(10):
             u = spin.rotation(3, random_direction(rng), rng.uniform(0, 4 * np.pi))
-            assert hilbert.is_unitary(u)
+            hilbert.require_unitary(u)
 
     def test_double_valued_half_integer(self, rng):
         n = random_direction(rng)
