@@ -70,6 +70,11 @@ class ZeroEvidence(DomainError):
     pass
 
 
+class BadShape(DomainError):
+    """A JSON document is not the object, or a field not the type, its reader
+    expects."""
+
+
 class ZeroProbabilityBranch(DomainError):
     """Raised when a measurement branch has (numerically) zero probability.
 

@@ -170,63 +170,115 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
 
     For a fixed a', s(b, b') = f(b) + g(b') separates, where f and g are
     the terms of ``chsh_statistic`` that hold b and b'; so the largest |s|
-    for that a' is max(max f + max g, -(min f + min g)), found in O(N)
-    rather than O(N^2) work.  Since s as summed by ``chsh_statistic``
-    rounds differently from f + g, s is re-evaluated on the (b, b') pairs
-    within ``_NEAR_EXTREME`` of the extremes of f and g, which hold every
-    maximum of |s|.
+    for that a' is max(max f + max g, -(min f + min g)).  Since s as summed
+    by ``chsh_statistic`` rounds differently from f + g, s is re-evaluated
+    on the (b, b') pairs within ``_NEAR_EXTREME`` of the extremes of f and
+    g over the grid, which hold every maximum of |s|.
 
-    The grid is evaluated a block of a' rows at a time: E(a', x) for every
-    a' of the block and every grid angle x is one (rows, N) array, and each
-    row's candidate b values are crossed with its candidate b' values in
-    one ragged product.  A block holds at most ``_BLOCK_ENTRIES`` grid
-    entries, so the memory used stays a few MB at any resolution.
+    Those entries are found without evaluating f or g on the whole grid.
+    Each is a signed sum of E(t, x) = -cos(t - x), so f(x) = -|c| cos(x -
+    arg c) with the phasor c = sum of sign * exp(i t) over its terms
+    (``chsh_statistic`` on exp(i a) and exp(i a')): f is least at arg c and
+    greatest at arg c + pi.  Every angle lies within h/2 of a grid angle (h
+    the step; the gap where the grid wraps past 360 degrees is at most h),
+    so the grid maximum of f as rounded is at least |c| cos(h/2) - eps,
+    eps bounding the rounding of f.  An entry within ``_NEAR_EXTREME`` of
+    it then has |c| cos(x - arg c - pi) >= |c| cos(h/2) - T, with T =
+    ``_NEAR_EXTREME`` + ``_FLOAT_SLACK`` and ``_FLOAT_SLACK`` above 2 eps,
+    so x lies within W = arccos(cos(h/2) - T / |c|) of arg c + pi; likewise
+    for the minimum around arg c.  Each row takes the grid columns within W
+    of both points, plus ``_WINDOW_MARGIN`` steps on each side for rounding
+    an angle to its nearest column and for the wrap gap.  A window as wide
+    as the row is the whole row; W reaches pi when |c| is below about T / 2,
+    which at 1 degree happens for a' = 180 in f and a' = 0 in g, where f or
+    g vanishes.  f and g are evaluated at those columns only, and
+    filtered against each row's max and min over them, which are the grid
+    row's max and min since the windows hold them.
+
+    W is about h/2 unless |c| is tiny, so a row takes 2 (2 (1 +
+    ``_WINDOW_MARGIN``) + 1) columns for each of f and g, and only O(1)
+    rows take the whole row: O(N) work and memory for N grid angles,
+    against N^2 for the full grid.
 
     Every s is summed elementwise in the order ``chsh_statistic`` gives,
     exactly as a per-entry scan sums it, and ties go to the first maximum
-    in the scan order a', then b, then b' (within a block the first argmax
-    in that flattened order; a later block must be strictly larger), so
-    the angles and s are those of the full O(N^3) scan, to the bit.
+    in the scan order a', then b, then b', so the angles and s are those
+    of the full O(N^3) scan, to the bit.
     """
     if not 0.0 < resolution_deg <= 5.0:
         raise DomainError("resolution must be above 0 and at most 5 degrees")
     grid = np.arange(0.0, 360.0, resolution_deg)
     rad = np.deg2rad(grid)
-    rows = max(1, _BLOCK_ENTRIES // len(rad))
-    best = (0.0, (0.0, 0.0, 0.0, 0.0))
     e_a = -np.cos(-rad)      # E(a, x) at every grid angle x, a = 0
-    for first in range(0, len(rad), rows):
-        e_ap = -np.cos(rad[first:first + rows, None] - rad)
-        e = {"a": np.broadcast_to(e_a, e_ap.shape), "a'": e_ap}
-        f, g = (chsh_statistic({(la, lb): e[la] if lb == label else 0.0
-                                for la, lb in CHSH_SIGNS})
-                for label in SETTING_LABELS_B)
-        (row_b, jb), (row_bp, jbp) = _near_extremes(f), _near_extremes(g)
-        # pair each b candidate with every b' candidate of its row, in order
-        per_row = np.bincount(row_bp, minlength=len(e_ap))
-        n_bp = per_row[row_b]
-        offset = (np.cumsum(per_row) - per_row)[row_b] - (np.cumsum(n_bp) - n_bp)
-        pair = np.repeat(np.arange(len(jb)), n_bp)
-        row = row_b[pair]
-        pick = {"b": jb[pair], "b'": jbp[offset[pair] + np.arange(len(pair))]}
-        s = chsh_statistic({(la, lb): e[la][row, pick[lb]] for la, lb in CHSH_SIGNS})
-        k = np.argmax(np.abs(s))
-        val = float(s[k])
-        if abs(val) > abs(best[0]):
-            best = (val, (0.0, float(grid[first + row[k]]), float(grid[pick["b"][k]]),
-                          float(grid[pick["b'"][k]])))
-    return best[1], best[0]
+    phasor = {"a": 1.0, "a'": np.exp(1j * rad)}
+    near = {}
+    for label in SETTING_LABELS_B:
+        row, col = _extreme_windows(_terms(phasor, label), np.deg2rad(resolution_deg))
+        e = {"a": e_a[col], "a'": -np.cos(rad[row] - rad[col])}
+        keep = _near_extremes(row, _terms(e, label))
+        near[label] = row[keep], col[keep], {la: v[keep] for la, v in e.items()}
+    (row_b, jb, _), (row_bp, jbp, _) = near.values()
+    # pair each b candidate with every b' candidate of its row, in order
+    per_row = np.bincount(row_bp, minlength=len(rad))
+    n_bp = per_row[row_b]
+    offset = (np.cumsum(per_row) - per_row)[row_b] - (np.cumsum(n_bp) - n_bp)
+    pair = np.repeat(np.arange(len(jb)), n_bp)
+    pick = {"b": pair, "b'": offset[pair] + np.arange(len(pair))}
+    s = chsh_statistic({(la, lb): near[lb][2][la][pick[lb]] for la, lb in CHSH_SIGNS})
+    k = np.argmax(np.abs(s))
+    ib, ibp = pick["b"][k], pick["b'"][k]
+    return ((0.0, float(grid[row_b[ib]]), float(grid[jb[ib]]), float(grid[jbp[ibp]])),
+            float(s[k]))
 
 
-_BLOCK_ENTRIES = 2 ** 16  # grid entries per block of a' rows; bounds the memory
 _NEAR_EXTREME = 1e-9  # far above the rounding gap between s and f + g
+_FLOAT_SLACK = 1e-12  # bounds the rounding of f, g and |c|, a few 1e-16
+_WINDOW_MARGIN = 2    # grid steps added to each side of a window
 
 
-def _near_extremes(h: np.ndarray) -> tuple:
-    """(row, column) indices, row-major, of the entries within _NEAR_EXTREME
-    of their row's max or min."""
-    return np.nonzero((h >= h.max(axis=-1, keepdims=True) - _NEAR_EXTREME)
-                      | (h <= h.min(axis=-1, keepdims=True) + _NEAR_EXTREME))
+def _terms(e: dict, label: str):
+    """The terms of ``chsh_statistic`` that hold Bob's setting ``label``,
+    summed as s sums them, with ``e`` giving E per Alice setting."""
+    return chsh_statistic({(la, lb): e[la] if lb == label else 0.0
+                           for la, lb in CHSH_SIGNS})
+
+
+def _extreme_windows(c: np.ndarray, step: float) -> tuple:
+    """(row, column) indices, row-major, of the grid columns within the
+    window of each row's extremes, for f(x) = -|c| cos(x - arg c) on the
+    grid of len(c) angles spaced ``step`` radians apart."""
+    n = len(c)
+    r = np.abs(c)
+    with np.errstate(divide="ignore"):
+        cos_w = np.cos(step / 2) - (_NEAR_EXTREME + _FLOAT_SLACK) / r
+    half = np.ceil(np.arccos(np.clip(cos_w, -1.0, 1.0)) / step).astype(int) + _WINDOW_MARGIN
+    width = 2 * half + 1
+    whole = width >= n
+    # two windows per row, at the minimum arg c and the maximum arg c + pi,
+    # or the whole row as one window and an empty one
+    centre = np.rint((np.angle(c)[:, None] + [0.0, np.pi]) / step)
+    first = np.where(whole[:, None], 0, centre.astype(int) - half[:, None])
+    length = np.where(whole[:, None], [n, 0], width[:, None]).ravel()
+    start = np.repeat(np.cumsum(length) - length, length)
+    # window columns run from -n to 2n; wrap them onto the grid by lookup
+    col = np.tile(np.arange(n), 3)[n + np.repeat(first.ravel(), length)
+                                   + np.arange(len(start)) - start]
+    # sort each row's columns, dropping repeats where its windows overlap
+    row = np.repeat(np.arange(n), length.reshape(n, 2).sum(1))
+    key = row * n + col
+    key.sort()
+    keep = np.r_[True, key[1:] != key[:-1]]
+    return row[keep], key[keep] - row[keep] * n
+
+
+def _near_extremes(row: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``h`` within _NEAR_EXTREME of the max or min
+    of their row, where ``row`` labels the entries and is sorted."""
+    first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    size = np.diff(np.r_[first, len(row)])
+    top = np.repeat(np.maximum.reduceat(h, first), size)
+    bottom = np.repeat(np.minimum.reduceat(h, first), size)
+    return (h >= top - _NEAR_EXTREME) | (h <= bottom + _NEAR_EXTREME)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hilbert
 from .errors import BadGroupData, NotPermissible, NotPermutation, SpaceMismatch
 
 
@@ -383,7 +384,9 @@ def action_to_dict(action: GroupAction) -> dict:
 
 
 def action_from_dict(d: dict) -> GroupAction:
-    group = FiniteGroup(d["cayley"])
-    if group.order != int(d["order"]):
+    order, cayley, space, table = hilbert.json_fields(
+        d, "action", order=int, cayley=list, space=list, action=list)
+    group = FiniteGroup(cayley)
+    if group.order != order:
         raise BadGroupData("declared order does not match the Cayley table")
-    return GroupAction(group, tuple(d["space"]), d["action"])
+    return GroupAction(group, tuple(space), table)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BadDistribution, DimMismatch, DomainError, NotEffect,
+from .errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotEffect,
                      NotFinite, NotHermitian, NotProjector, NotUnitary)
 
 # Default tolerances.  Symmetry/unitarity/projector checks are absolute on
@@ -202,6 +202,36 @@ def trace_product(a, b) -> complex:
 
 # Structured-text (JSON-compatible) forms used by the CLI.
 
+_KINDS = {int: "an integer", str: "a string", list: "an array",
+          float: "a rectangular array of numbers"}
+
+
+def json_fields(d, what: str, **kinds) -> tuple:
+    """The named fields of the JSON object ``d``, in the order named.
+
+    Each kind is ``int``, ``str``, ``list`` or ``float``, the last an array
+    of numbers nested to any depth and returned as a float array.  A ``d``
+    that is not an object, or a field of another kind, raises BadShape
+    naming ``what``; a missing field is a KeyError, as for any lookup.
+    """
+    if not isinstance(d, dict):
+        raise BadShape(f"{what} must be a JSON object, not {type(d).__name__}")
+    fields = []
+    for key, kind in kinds.items():
+        value = d[key]
+        fits = isinstance(value, list if kind is float else kind) \
+            and not isinstance(value, bool)
+        if fits and kind is float:
+            try:
+                value = np.array(value, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                fits = False
+        if not fits:
+            raise BadShape(f"{what} field {key!r} must be {_KINDS[kind]}")
+        fields.append(value)
+    return tuple(fields)
+
+
 def operator_to_dict(a) -> dict:
     m = as_operator(a)
     return {"dim": m.shape[0],
@@ -210,9 +240,11 @@ def operator_to_dict(a) -> dict:
 
 
 def operator_from_dict(d: dict) -> np.ndarray:
-    n = int(d["dim"])
-    m = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-    return as_operator(m.reshape(n, n))
+    n, re, im = json_fields(d, "operator", dim=int, re=float, im=float)
+    if n < 1 or re.size != n * n or im.shape != re.shape:
+        raise DimMismatch(f"operator of dim {n} needs dim >= 1 and dim^2 entries "
+                          "each in re and im")
+    return as_operator((re + 1j * im).reshape(n, n))
 
 
 def state_to_dict(v) -> dict:
@@ -221,7 +253,7 @@ def state_to_dict(v) -> dict:
 
 
 def state_from_dict(d: dict) -> np.ndarray:
-    s = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-    if s.shape[0] != int(d["dim"]):
+    n, re, im = json_fields(d, "state", dim=int, re=float, im=float)
+    if re.shape != (n,) or im.shape != (n,):
         raise DimMismatch("state length does not match declared dim")
-    return as_state(s)
+    return as_state(re + 1j * im)

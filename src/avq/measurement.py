@@ -62,9 +62,9 @@ class StatisticalModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StatisticalModel":
-        return cls(np.array(d["parameters"], dtype=float),
-                   tuple(d["samples"]),
-                   np.array(d["likelihood"], dtype=float))
+        parameters, samples, likelihood = hilbert.json_fields(
+            d, "model", parameters=float, samples=list, likelihood=float)
+        return cls(parameters, tuple(samples), likelihood)
 
     def to_dict(self) -> dict:
         return {"parameters": self.parameter_values.tolist(),

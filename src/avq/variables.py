@@ -169,6 +169,7 @@ def variable_to_dict(v: AccessibleVariable) -> dict:
 
 
 def variable_from_dict(d: dict) -> AccessibleVariable:
-    return AccessibleVariable(d["name"], np.array(d["values"], dtype=float),
-                              tuple(hilbert.operator_from_dict(p)
-                                    for p in d["projectors"]))
+    name, values, projectors = hilbert.json_fields(
+        d, "variable", name=str, values=float, projectors=list)
+    return AccessibleVariable(name, values,
+                              tuple(hilbert.operator_from_dict(p) for p in projectors))

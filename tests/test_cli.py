@@ -165,6 +165,24 @@ class TestFileErrors:
         assert f"cannot read {flag}" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("flag, content", [
+        ("model", [1, 2]),
+        ("model", {"parameters": [0.0, 1.0, 2.0], "samples": 5,
+                   "likelihood": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+        ("variable", {"name": "v", "values": [0.0, 1.0, 2.0], "projectors": 5}),
+        ("state", {"dim": 3, "re": 5, "im": [0.0] * 9}),
+    ])
+    def test_wrong_shape_input_is_one_line(self, tmp_path, flag, content):
+        files = {name: GOLDEN / f"{name}.json" for name in ("model", "variable", "state")}
+        files[flag] = tmp_path / "bad.json"
+        files[flag].write_text(json.dumps(content))
+        proc = run_cli("measure", *(x for name, path in files.items()
+                                    for x in (f"--{name}", str(path))))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("BadShape: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_model_key_is_one_line(self, tmp_path):
         model = tmp_path / "m.json"
         model.write_text(json.dumps({"parameters": [0.0, 1.0],

@@ -3,9 +3,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avq import born, experiments, hilbert, inference, spin, variables
-from avq.errors import (BadDistribution, DimMismatch, DomainError, NotFinite,
+from avq import born, experiments, groups, hilbert, inference, measurement, spin, variables
+from avq.errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotFinite,
                         NotProjector)
 
 EYE2 = np.eye(2, dtype=complex)
@@ -48,3 +50,54 @@ def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:
         build()
     assert type(info.value) is error and isinstance(info.value, ValueError)
+
+
+# every JSON value: null, booleans, numbers, strings, arrays and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+LOADERS = [(measurement.StatisticalModel.from_dict, ("parameters", "samples", "likelihood")),
+           (variables.variable_from_dict, ("name", "values", "projectors")),
+           (hilbert.operator_from_dict, ("dim", "re", "im")),
+           (hilbert.state_from_dict, ("dim", "re", "im")),
+           (groups.action_from_dict, ("order", "cayley", "space", "action"))]
+
+
+@pytest.mark.parametrize("load, doc", [
+    (measurement.StatisticalModel.from_dict, [1, 2]),
+    (measurement.StatisticalModel.from_dict,
+     {"parameters": [0.0], "samples": 5, "likelihood": [[1.0]]}),
+    (variables.variable_from_dict, {"name": "v", "values": [0.0], "projectors": 5}),
+    (variables.variable_from_dict, {"name": "v", "values": [0.0], "projectors": [5]}),
+    (hilbert.operator_from_dict, {"dim": [1], "re": [1.0], "im": [0.0]}),
+    (hilbert.operator_from_dict, {"dim": 1, "re": [10**400], "im": [0.0]}),
+    (hilbert.state_from_dict, {"dim": 1, "re": [{}], "im": [0.0]}),
+    (groups.action_from_dict, {"order": 1, "cayley": 5, "space": ["x"], "action": [[0]]}),
+])
+def test_wrong_shape_json_raises_bad_shape(load, doc):
+    with pytest.raises(BadShape):
+        load(doc)
+
+
+@pytest.mark.parametrize("load, doc", [
+    (hilbert.operator_from_dict, {"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0] * 4}),
+    (hilbert.operator_from_dict, {"dim": 0, "re": [], "im": []}),
+    (hilbert.state_from_dict, {"dim": 2, "re": [1.0, 0.0], "im": [0.0]}),
+])
+def test_entry_counts_must_match_dim(load, doc):
+    with pytest.raises(DimMismatch):
+        load(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_any_json_document_loads_or_raises_a_domain_error(data):
+    for load, keys in LOADERS:
+        doc = data.draw(JSON_VALUES | st.fixed_dictionaries(dict.fromkeys(keys, JSON_VALUES)))
+        try:
+            load(doc)
+        except (DomainError, KeyError):  # a missing field is a KeyError
+            pass

@@ -217,9 +217,10 @@ def per_row_quantum_max(resolution_deg):
 
 
 class TestChshQuantumMax:
-    @pytest.mark.parametrize("resolution", [4.9, 3.3, 1.0, 0.7, 0.5, 0.2])
+    # 0.37, 2.9 and 0.13 do not divide 360, so the grid's wrap gap is
+    # narrower than its step
+    @pytest.mark.parametrize("resolution", [4.9, 3.3, 1.0, 0.7, 0.5, 0.2, 0.37, 2.9, 0.13])
     def test_blocks_match_per_row_search(self, resolution):
-        # 0.2 degrees is 1800 a' rows, 36 to a block: 50 blocks
         assert experiments.chsh_quantum_max(resolution) == per_row_quantum_max(resolution)
 
     def test_memory_stays_bounded(self):
@@ -231,7 +232,20 @@ class TestChshQuantumMax:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("resolution", [5.0, 2.0])
+    def test_cosines_grow_linearly_with_the_grid(self, monkeypatch):
+        # the full grid of E(a', x) would take N (N + 1) cosines, N = 1800
+        count = []
+        cos = np.cos
+
+        def counting_cos(x, *args, **kwargs):
+            count.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counting_cos)
+        experiments.chsh_quantum_max(0.2)
+        assert 0 < sum(count) <= 100 * 1800
+
+    @pytest.mark.parametrize("resolution", [5.0, 2.0, 4.7])
     def test_matches_brute_force_scan(self, resolution):
         angles, s = experiments.chsh_quantum_max(resolution)
         ref_angles, ref_s = brute_force_quantum_max(resolution)
