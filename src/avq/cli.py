@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import born, experiments, hilbert, inference, measurement, spin, variables
-from .errors import DomainError
+from .errors import DomainError, ValueMismatch
 
 
 def _parse_triple(text):
@@ -264,7 +264,7 @@ def _cmd_measure(args, parser):
                 str(x): measurement.data_probability(sigma, model, var, x)
                 for x in model.sample_points}
         if args.x is not None:
-            label = type(model.sample_points[0])(args.x)
+            label = _sample_point(model.sample_points, args.x)
             entry["likelihood_effect"] = hilbert.operator_to_dict(
                 measurement.likelihood_effect(model, var, label))
         report["povm"] = entry
@@ -272,6 +272,20 @@ def _cmd_measure(args, parser):
         parser.error("measure needs --random-check or --model/--variable")
     _emit(report, args.format, args.out)
     return 0
+
+
+def _sample_point(points, text: str):
+    """The first sample point that ``text`` parses to under the point's own
+    type: int, float or str, and JSON text (``null``, ``true``, an array)
+    for any other point."""
+    for x in points:
+        try:
+            parsed = type(x)(text) if type(x) in (int, float, str) else json.loads(text)
+        except (ValueError, RecursionError):  # RecursionError: deeply nested JSON
+            continue
+        if type(parsed) is type(x) and parsed == x:
+            return x
+    raise ValueMismatch(f"no sample point is {text!r}")
 
 
 def _cmd_inference(args, parser):

@@ -2,15 +2,17 @@
 
 Operators are square complex numpy arrays, states are unit-norm complex
 vectors, and a family of n operators on C^d (POVM effects, Kraus
-operators) is one (n, d, d) stack.  All tolerances are module-level
-constants and can be overridden per call where it matters (eigenvalue
-merging, symmetry checks).
+operators) is one (n, d, d) stack.  A spectral resolution is stored as a
+grouped eigenbasis; its eigenprojectors are built each time they are read
+and never stored.  All tolerances are module-level constants and can be
+overridden per call where it matters (eigenvalue merging, symmetry
+checks).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -127,11 +129,35 @@ def require_density(sigma, tol: float = TRACE_ONE_TOL) -> np.ndarray:
     return m
 
 
+class _Projectors(Sequence):
+    """The eigenprojectors V_k V_k^dag of a grouped basis as a read-only
+    sequence.  Each read finds group k through the column offsets and
+    builds a fresh d x d array; nothing is stored."""
+
+    def __init__(self, basis, sizes):
+        self._basis = basis
+        self._edges = [0] + np.cumsum(sizes).tolist()
+
+    def __len__(self) -> int:
+        return len(self._edges) - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        k = range(len(self))[k]  # negative k counts from the end
+        b = self._basis[:, self._edges[k]:self._edges[k + 1]]
+        return b @ dagger(b)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral resolution as a grouped eigenbasis: the unitary ``basis``
     has its columns in consecutive groups, and group k, of ``sizes[k]``
-    columns, spans the eigenspace of ``eigenvalues[k]``."""
+    columns, spans the eigenspace of ``eigenvalues[k]``.
+
+    ``projectors`` is a sequence of the k eigenprojectors, each built from
+    its column group when read and never stored, so a decomposition holds
+    only its values and basis."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -145,9 +171,9 @@ class EigenDecomposition:
         ends = np.cumsum(self.sizes).tolist()
         return [self.basis[:, e - n:e] for n, e in zip(self.sizes.tolist(), ends)]
 
-    @cached_property
-    def projectors(self) -> tuple:
-        return tuple(b @ dagger(b) for b in self.blocks())
+    @property
+    def projectors(self) -> Sequence:
+        return _Projectors(self.basis, self.sizes)
 
     def spectral_sum(self, weights) -> np.ndarray:
         """sum_k weights[k] * projectors[k], computed as V diag(w) V^dag.

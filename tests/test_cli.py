@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from avq import cli
+from avq import cli, hilbert, measurement, variables
+from avq.errors import ValueMismatch
 
 
 def run_cli(*args, check=False):
@@ -182,6 +183,35 @@ class TestFileErrors:
         assert proc.stderr.startswith("BadShape: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("samples, x, label", [
+        ([None, 1, 2], "1", 1),
+        ([None, 1, 2], "null", None),
+        (["a", "b", "c"], "b", "b"),
+        ([0.5, 1.0, 2], "1", 1.0),
+        ([0, 1, 2], "b", ValueMismatch),
+        (["a", "b", "c"], "1", ValueMismatch),
+        ([None, 1, 2], "1.0", ValueMismatch),
+    ])
+    def test_x_resolves_against_every_sample(self, tmp_path, samples, x, label):
+        model = json.loads((GOLDEN / "model.json").read_text())
+        model["samples"] = samples
+        mp = tmp_path / "m.json"
+        mp.write_text(json.dumps(model))
+        proc = run_cli("measure", "--model", str(mp),
+                       "--variable", str(GOLDEN / "variable.json"), "--x", x)
+        assert "Traceback" not in proc.stderr
+        if label is ValueMismatch:
+            assert proc.returncode == 1
+            assert proc.stderr == f"ValueMismatch: no sample point is {x!r}\n"
+            return
+        assert proc.returncode == 0, proc.stderr
+        var = variables.variable_from_dict(
+            json.loads((GOLDEN / "variable.json").read_text()))
+        want = measurement.likelihood_effect(
+            measurement.StatisticalModel.from_dict(model), var, label)
+        got = hilbert.operator_from_dict(json.loads(proc.stdout)["povm"]["likelihood_effect"])
+        assert np.allclose(got, want)
 
     def test_missing_model_key_is_one_line(self, tmp_path):
         model = tmp_path / "m.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,11 +240,70 @@ class TestConjugatedVariable:
                                  - np.sort(v.values))) < 1e-8
 
 
+def spin_squared():
+    """S_a^2 for spin 2: values 4, 1, 0 on eigenspaces of ranks 2, 2, 1."""
+    a = np.array([0.6, 0.0, 0.8])
+    v = variables.AccessibleVariable.from_operator("s", spin.component_operator(4, a))
+    return variables.derived_variable(v, lambda u: u * u)
+
+
+def random_qutrit():
+    return random_maximal_variable(np.random.default_rng(20260824), 3)
+
+
+class TestProjectorView:
+    """``projectors`` builds each V_k V_k^dag when read and stores none."""
+
+    def test_reading_all_at_d96_holds_one_at_a_time(self):
+        v = variables.AccessibleVariable.from_operator(
+            "a", spin.component_operator(95, np.array([0.6, 0.0, 0.8])))
+        assert variables.is_maximal(v) and v.dim == 96
+        tracemalloc.start()
+        try:
+            traces = [np.trace(p).real for p in v.projectors]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(traces, 1.0)
+        # 96 cached projectors would take 96 * 96^2 * 16 bytes = 13.5 MB
+        assert peak < 2 * 2**20
+        assert "projectors" not in vars(v)
+
+    @pytest.mark.parametrize("make", [spin_squared, random_qutrit])
+    def test_every_read_matches_the_basis_groups(self, make):
+        v = make()
+        want = [b @ hilbert.dagger(b) for b in v.blocks()]
+        k = len(want)
+        projs = v.projectors
+        assert len(projs) == k
+        for j in range(-k, k):
+            assert np.array_equal(projs[j], want[j])
+        for sl in (slice(None), slice(1, None), slice(None, None, -2), slice(k, k + 3)):
+            got = projs[sl]
+            assert isinstance(got, tuple)
+            assert all(np.array_equal(p, q) for p, q in zip(got, want[sl], strict=True))
+        assert all(np.array_equal(p, q) for p, q in zip(projs, want, strict=True))
+        assert np.array_equal(np.asarray(projs), np.array(want))
+        for j in (k, -k - 1):
+            with pytest.raises(IndexError):
+                projs[j]
+        assert "projectors" not in vars(v)
+
+    def test_writing_into_a_read_leaves_the_next_read(self):
+        v = spin_squared()
+        first = v.projectors[0]
+        first[...] = 7.0
+        assert np.abs(v.projectors[0] - first).min() > 1.0
+        assert np.max(np.abs(sum(v.projectors) - np.eye(v.dim))) < 1e-10
+
+
 class TestSerialization:
-    def test_roundtrip(self, rng):
-        v = random_maximal_variable(rng, 3)
+    @pytest.mark.parametrize("make", [spin_squared, random_qutrit])
+    def test_roundtrip(self, make):
+        v = make()
         back = variables.variable_from_dict(variables.variable_to_dict(v))
         assert back.name == v.name
         assert np.allclose(back.values, v.values)
-        for p, q in zip(back.projectors, v.projectors):
+        assert back.ranks().tolist() == v.ranks().tolist()
+        for p, q in zip(back.projectors, v.projectors, strict=True):
             assert np.allclose(p, q)
