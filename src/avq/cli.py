@@ -31,9 +31,13 @@ def _parse_triple(text):
 # Size caps, so that an allocation too large to succeed is a usage error:
 # `spin --check` holds about ten (2r + 1)^2 complex matrices, and the sphere
 # quadrature holds order^2 coherent states of dimension at most order - 1
-# (128^2 x 127 complex numbers, 33 MB).
+# (128^2 x 127 complex numbers, 33 MB).  The Monte Carlo commands draw in
+# blocks and keep at most 32 B per sample, the four int64 arrays of a chsh
+# run (medical keeps 16 B, prop2 8 B, and --crossval and --random-check
+# one case at a time), so 10^8 samples hold at most 3.2 GB.
 MAX_TWO_R = 200
 MAX_RESOLUTION_ORDER = 128
+MAX_SAMPLES = 10**8
 
 
 def _parse_spin(text):
@@ -61,7 +65,7 @@ def _int_in(low, high=None):
     return parse
 
 
-_count = _int_in(1)
+_count = _int_in(1, MAX_SAMPLES)
 _seed = _int_in(0)
 
 

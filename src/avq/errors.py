@@ -14,6 +14,10 @@ class NotFinite(DomainError):
     """Input holds NaN or an infinity."""
 
 
+class NotInteger(DomainError):
+    """A count or seed is not an int; a bool is not a count."""
+
+
 class NotHermitian(DomainError):
     pass
 

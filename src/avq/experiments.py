@@ -8,6 +8,13 @@ E(a,b) - E(a,b') + E(a',b) + E(a',b') is classically bounded by 2 but
 reaches 2*sqrt(2) in magnitude quantum mechanically.  The second is the
 four-treatment comparison where a Bayesian orthant calculation and a
 spin-1/2 transition probability answer the same question differently.
+
+Both draw their samples in blocks of at most 2^14 from one seeded
+generator, in the order of one whole-array draw, so the numbers do not
+depend on the block length.  Per sample, ``chsh_simulate`` keeps the 32 B
+of the four int64 arrays it returns, ``ChshRun.write_csv`` nothing, and
+``medical_bayes`` the 16 B of its two contrast sums; all else is one block
+long.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 
 from . import born, spin, variables
 from .errors import DomainError
+from .inference import require_count, require_finite, sample_blocks
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
                              # closed-form orthant value is ~0.3918
@@ -59,8 +67,9 @@ class ChshConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise DomainError("need at least one trial")
+        require_finite("angles", self.a, self.a_prime, self.b, self.b_prime)
+        require_count(self.n_trials, 1, "need at least one trial")
+        require_count(self.seed, 0, "seed must be non-negative")
 
     def angles(self):
         return {("a", "b"): (self.a, self.b),
@@ -80,12 +89,15 @@ class ChshRun:
     s_statistic: float      # None when any setting-pair cell is empty
 
     def write_csv(self, path):
-        """The per-trial log, in the csv module's default (excel) format."""
-        code = (8 * self.setting_a + 4 * self.setting_b
-                + 2 * (self.outcome_a < 0) + (self.outcome_b < 0))
-        body = "".join(f"{t},{_TRIAL_ROWS[c]}" for t, c in enumerate(code.tolist()))
+        """The per-trial log, in the csv module's default (excel) format,
+        written one block of trials at a time."""
         with open(path, "w", newline="") as fh:
-            fh.write("trial,setting_a,setting_b,outcome_a,outcome_b\r\n" + body)
+            fh.write("trial,setting_a,setting_b,outcome_a,outcome_b\r\n")
+            for part in sample_blocks(len(self.setting_a)):
+                code = (8 * self.setting_a[part] + 4 * self.setting_b[part]
+                        + 2 * (self.outcome_a[part] < 0) + (self.outcome_b[part] < 0))
+                fh.write("".join([f"{t},{_TRIAL_ROWS[c]}"
+                                  for t, c in enumerate(code.tolist(), part.start)]))
 
 
 # The row of a trial after its number, indexed by
@@ -113,24 +125,34 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
     that are <= u (inverse-CDF sampling; the last entry is 1 up to rounding,
     so the count stops at 3).  Each correlation is (count - 2 neg) / count,
     where neg counts the pair's trials in the cells of opposite signs.
+
+    All settings are drawn before the uniforms, so ``ia`` and ``ib`` are
+    drawn whole; the uniforms, cells, outcomes and counts go one block at
+    a time.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_trials
     ia = rng.integers(0, 2, size=n)
     ib = rng.integers(0, 2, size=n)
-    u = rng.random(n)
     pairs = cfg.angles()
     cdf = np.array([np.cumsum(born.singlet_joint(plane_direction(ang_a),
                                                  plane_direction(ang_b)).ravel())
                     for ang_a, ang_b in pairs.values()])
-    pair_code = (2 * ia + ib).astype(np.uint8)
-    cell = np.zeros(n, dtype=np.uint8)
-    for k in range(3):
-        cell += u >= np.take(cdf[:, k], pair_code)
-    del u
-    counts = np.bincount(4 * pair_code + cell, minlength=16).reshape(4, 4).tolist()
+    outcome_a = np.empty(n, dtype=_CELL_A.dtype)
+    outcome_b = np.empty(n, dtype=_CELL_B.dtype)
+    counts = np.zeros(16, dtype=np.int64)
+    for part in sample_blocks(n):
+        u = rng.random(part.stop - part.start)
+        pair_code = (2 * ia[part] + ib[part]).astype(np.uint8)
+        cell = np.zeros(len(u), dtype=np.uint8)
+        for k in range(3):
+            cell += u >= np.take(cdf[:, k], pair_code)
+        outcome_a[part] = _CELL_A[cell]
+        outcome_b[part] = _CELL_B[cell]
+        counts += np.bincount(4 * pair_code + cell, minlength=16)
     correlations = {}
-    for pair, (plus_plus, plus_minus, minus_plus, minus_minus) in zip(pairs, counts):
+    for pair, (plus_plus, plus_minus, minus_plus, minus_minus) in zip(
+            pairs, counts.reshape(4, 4).tolist()):
         count = plus_plus + plus_minus + minus_plus + minus_minus
         if count > 0:
             correlations[pair] = ((count - 2 * (plus_minus + minus_plus)) / count, count)
@@ -138,7 +160,7 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
         s = chsh_statistic({pair: est for pair, (est, _) in correlations.items()})
     else:
         s = None
-    return ChshRun(cfg, ia, ib, _CELL_A[cell], _CELL_B[cell], correlations, s)
+    return ChshRun(cfg, ia, ib, outcome_a, outcome_b, correlations, s)
 
 
 def chsh_exact_s(cfg: ChshConfig) -> float:
@@ -346,16 +368,27 @@ def medical_bayes(n_samples: int, seed: int) -> MedicalBayes:
     Draws iid standard-normal treatment effects, forms the two contrasts,
     and estimates P(second > 0 | first > 0); the closed form is the
     bivariate-normal orthant value at the exact correlation -1/3.
+
+    The draws come treatment by treatment, as the rows of one (4, n) draw
+    would, so the two contrast sums are kept whole (16 B per sample) while
+    each treatment's draws are made and added one block at a time.
     """
-    if n_samples < 10_000:
-        raise DomainError("need at least 10^4 samples")
+    require_count(n_samples, 10_000, "need at least 10^4 samples")
+    require_count(seed, 0, "seed must be non-negative")
     rng = np.random.default_rng(seed)
-    mu = rng.standard_normal((4, n_samples))
-    za = _FLOAT_A @ mu
-    zb = _FLOAT_B @ mu
-    cond = za > 0
-    n_cond = int(cond.sum())
-    p = float(np.mean(zb[cond] > 0))
+    za = np.zeros(n_samples)
+    zb = np.zeros(n_samples)
+    for coef_a, coef_b in zip(_FLOAT_A, _FLOAT_B):
+        for part in sample_blocks(n_samples):
+            mu = rng.standard_normal(part.stop - part.start)
+            za[part] += coef_a * mu
+            zb[part] += coef_b * mu
+    n_cond = hits = 0
+    for part in sample_blocks(n_samples):
+        cond = za[part] > 0
+        n_cond += np.count_nonzero(cond)
+        hits += np.count_nonzero(cond & (zb[part] > 0))
+    p = float(hits / n_cond)
     se = float(np.sqrt(p * (1.0 - p) / n_cond))
     _, rho = medical_contrasts()
     return MedicalBayes(float(orthant_conditional(float(rho))), p, se)

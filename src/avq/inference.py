@@ -4,6 +4,10 @@ experiment where credibility and coverage coincide.
 
 All Monte Carlo runs are driven by an explicit seed and generate their
 draws in a fixed canonical order, so a repeated run is bit-identical.
+Large draws are made in blocks of at most 2^14 samples, one block after
+another from the same generator, which yields the numbers of one
+whole-array draw.  Each Monte Carlo routine's docstring gives the bytes per
+sample or replicate it keeps.
 """
 
 from __future__ import annotations
@@ -14,7 +18,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import BadDistribution, DimMismatch, DomainError, NotFinite, ZeroEvidence
+from .errors import (BadDistribution, DimMismatch, DomainError, NotFinite, NotInteger,
+                     ZeroEvidence)
+
+# Samples per block of a large Monte Carlo draw.  A block of float64 draws
+# is 128 kB, so a draw's temporaries stay a few blocks long whatever its
+# size, and the rows of one block of a CHSH trial log, joined into one
+# string, take about 1.3 MB of Python strings.
+_BLOCK = 2**14
+
+
+def sample_blocks(n: int) -> list:
+    """Slices cutting range(n) into consecutive blocks of at most 2^14."""
+    return [slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+
+
+def require_count(value, low: int, message: str) -> None:
+    """Raise NotInteger unless ``value`` is an int and not a bool, and
+    DomainError(message) if it is below ``low``; a seed has low 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NotInteger(f"expected an int, got {value!r} of type {type(value).__name__}")
+    if value < low:
+        raise DomainError(message)
+
+
+def require_finite(what: str, *values) -> None:
+    """Raise NotFinite unless every value is a finite real number."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except TypeError:  # not a real number
+        finite = False
+    if not finite:
+        raise NotFinite(f"{what} must be finite real numbers, got {values}")
 
 
 def _std_normal_cdf(x: float) -> float:
@@ -49,8 +84,9 @@ class SimulationSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("need at least one replicate")
+        require_count(self.n, 1, "need at least one replicate")
+        require_count(self.seed, 0, "seed must be non-negative")
+        require_finite("theta", self.theta)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -95,7 +131,8 @@ def posterior_mean(posterior: DiscretePrior) -> float:
 
 def _replicate_estimates(estimator, sampler, spec: SimulationSpec) -> np.ndarray:
     """estimator(sampler(rng, theta)) for each of the spec's n replicates,
-    drawn in order from one generator seeded by the spec."""
+    drawn in order from one generator seeded by the spec; 8 B per replicate
+    beyond one replicate's data."""
     rng = spec.rng()
     return np.array([float(estimator(sampler(rng, spec.theta)))
                      for _ in range(spec.n)])
@@ -106,7 +143,8 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
 
     ``sampler(rng, theta)`` draws one replicate's data; ``estimator(data)``
     returns a point estimate.  The decomposition mse = var + bias^2 holds
-    exactly on the same-sample moments.
+    exactly on the same-sample moments.  Keeps the estimates, 8 B per
+    replicate, and one replicate's data at a time.
     """
     err = _replicate_estimates(estimator, sampler, spec) - spec.theta
     mse = float(np.mean(err ** 2))
@@ -135,6 +173,7 @@ def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
     """Fraction of replicates whose interval covers the true parameter.
 
     ``rule(data)`` returns an IntervalEstimate or a (lower, upper) pair.
+    Keeps one replicate's data at a time and a count, nothing per replicate.
     """
     rng = spec.rng()
     hits = 0
@@ -151,7 +190,8 @@ def p_value_one_sided(sampler, estimator, observed: float,
     """Monte Carlo P(estimate(X) > observed) under the null parameter.
 
     Strict inequality; with ``discrete_ties`` ties contribute half weight
-    (only sensible for discrete samplers).
+    (only sensible for discrete samplers).  Keeps the estimates, 8 B per
+    replicate, and one replicate's data at a time.
     """
     if observed == -np.inf:
         return 1.0
@@ -185,17 +225,26 @@ def prop2_experiment(c1: float, c2: float, spec: SimulationSpec) -> EquivalenceR
     interval's posterior mass and its frequentist coverage are both
     Phi(-c1) - Phi(-c2).  Both sides are estimated by Monte Carlo: one
     data draw and one posterior draw per replicate, in canonical order.
+    All n data draws come first, so x is kept whole (8 B per replicate);
+    the posterior draws and the hit counts go one block at a time.
     """
+    require_finite("c1 and c2", c1, c2)
     if c1 >= c2:
         raise DomainError("need c1 < c2")
     rng = spec.rng()
-    x = spec.theta + rng.standard_normal(spec.n)
-    theta_post = x + rng.standard_normal(spec.n)
-    cred_hits = (x + c1 <= theta_post) & (theta_post <= x + c2)
-    cov_hits = (x + c1 <= spec.theta) & (spec.theta <= x + c2)
-    cred = float(np.mean(cred_hits))
-    cov = float(np.mean(cov_hits))
+    theta, n = spec.theta, spec.n
+    x = rng.standard_normal(n)
+    x += theta
+    cred_hits = cov_hits = 0
+    for part in sample_blocks(n):
+        xb = x[part]
+        theta_post = rng.standard_normal(len(xb))
+        theta_post += xb
+        cred_hits += np.count_nonzero((xb + c1 <= theta_post) & (theta_post <= xb + c2))
+        cov_hits += np.count_nonzero((xb + c1 <= theta) & (theta <= xb + c2))
+    cred = float(cred_hits / n)
+    cov = float(cov_hits / n)
     analytic = _std_normal_cdf(-c1) - _std_normal_cdf(-c2)
-    se_cred = float(np.sqrt(cred * (1.0 - cred) / spec.n))
-    se_cov = float(np.sqrt(cov * (1.0 - cov) / spec.n))
+    se_cred = float(np.sqrt(cred * (1.0 - cred) / n))
+    se_cov = float(np.sqrt(cov * (1.0 - cov) / n))
     return EquivalenceResult(cred, cov, analytic, se_cred, se_cov)

@@ -352,6 +352,23 @@ class TestFlagTypes:
             ["spin", "--r", str(cli.MAX_TWO_R // 2), "--resolution-order",
              str(cli.MAX_RESOLUTION_ORDER)]).r == cli.MAX_TWO_R
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--crossval", ("born", "--seed", "1")),
+        ("--n", ("chsh", "--angles", "0,90,45,135", "--seed", "1")),
+        ("--n", ("medical", "--seed", "1")),
+        ("--random-check", ("measure", "--seed", "1")),
+        ("--n", ("inference", "--op", "prop2", "--c1", "-1", "--c2", "1", "--seed", "1")),
+    ])
+    def test_sample_counts_are_capped(self, flag, args, capsys):
+        # parsing only: a count above the cap is refused before any draw
+        parser = cli.build_parser()
+        assert getattr(parser.parse_args(args + (flag, str(cli.MAX_SAMPLES))),
+                       flag[2:].replace("-", "_")) == cli.MAX_SAMPLES
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(args + (flag, str(cli.MAX_SAMPLES + 1)))
+        assert exc.value.code == 2
+        assert f"expected an integer in [1, {cli.MAX_SAMPLES}]" in capsys.readouterr().err
+
     def test_large_spin_exits_2_without_traceback(self):
         proc = run_cli("spin", "--r", "100000", "--check")
         assert proc.returncode == 2

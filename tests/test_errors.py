@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from avq import born, experiments, groups, hilbert, inference, measurement, spin, variables
 from avq.errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotFinite,
-                        NotProjector)
+                        NotInteger, NotProjector)
 
 EYE2 = np.eye(2, dtype=complex)
 # a projector family that is not orthogonal: diag(1, 0) and |+><+|
@@ -45,6 +45,26 @@ LEANING = (np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
      DimMismatch, "do not split"),
     (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 0.0], EYE2, [1, 1]),
      DomainError, "distinct"),
+    # counts and seeds are ints, as the CLI's flags parse them; angles,
+    # c1, c2 and theta are finite
+    (lambda: inference.SimulationSpec(10000.0, 1), NotInteger, "10000.0"),
+    (lambda: inference.SimulationSpec(True, 1), NotInteger, "bool"),
+    (lambda: inference.SimulationSpec(10, 1.0), NotInteger, "float"),
+    (lambda: inference.SimulationSpec(10, -1), DomainError, "seed"),
+    (lambda: inference.SimulationSpec(10, 1, theta=np.nan), NotFinite, "theta"),
+    (lambda: inference.prop2_experiment(np.nan, 1.0, inference.SimulationSpec(10, 1)),
+     NotFinite, "c1 and c2"),
+    (lambda: inference.prop2_experiment(-1.0, np.inf, inference.SimulationSpec(10, 1)),
+     NotFinite, "c1 and c2"),
+    (lambda: experiments.ChshConfig(np.nan, 0.0, 0.0, 0.0, 1000, 1), NotFinite, "angles"),
+    (lambda: experiments.ChshConfig(0.0, 0.0, -np.inf, 0.0, 1000, 1), NotFinite,
+     "angles"),
+    (lambda: experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 1000.5, 1), NotInteger, "1000.5"),
+    (lambda: experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 1000, 1.5), NotInteger, "1.5"),
+    (lambda: experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 1000, -1), DomainError, "seed"),
+    (lambda: experiments.medical_bayes(10000.5, 1), NotInteger, "10000.5"),
+    (lambda: experiments.medical_bayes(False, 1), NotInteger, "bool"),
+    (lambda: experiments.medical_bayes(10000, -3), DomainError, "seed"),
 ])
 def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:
@@ -101,3 +121,18 @@ def test_any_json_document_loads_or_raises_a_domain_error(data):
             load(doc)
         except (DomainError, KeyError):  # a missing field is a KeyError
             pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES, JSON_VALUES, JSON_VALUES)
+def test_monte_carlo_specs_take_int_counts_and_finite_reals(count, seed, real):
+    """Any value in any field builds the spec or raises a DomainError; one
+    that builds has an int count >= 1, an int seed >= 0 and a finite real."""
+    for build in (lambda: inference.SimulationSpec(count, seed, theta=real),
+                  lambda: experiments.ChshConfig(0.0, real, 0.0, 0.0, count, seed)):
+        try:
+            build()
+        except DomainError:
+            continue
+        assert type(count) is int and count >= 1 and type(seed) is int and seed >= 0
+        assert np.isfinite(real)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from avq import born, experiments
+from avq import born, experiments, inference
 
 
 class TestPlaneDirection:
@@ -386,3 +386,95 @@ class TestMedicalReport:
         assert d["quantum"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert d["paper_reported"] == 0.43
         assert 0.0 <= d["bayes_mc"] <= 1.0
+
+
+# Sizes around one block and four blocks of samples, and one spanning many.
+BLOCK = inference._BLOCK
+BLOCK_SIZES = [10_000, BLOCK - 1, BLOCK, BLOCK + 1, 65_535, 65_536, 65_537, 200_003]
+
+
+def whole_array_simulate(cfg):
+    """The sampler drawing every uniform at once: (ia, ib, outcome_a,
+    outcome_b, counts per setting pair and cell)."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_trials
+    ia = rng.integers(0, 2, size=n)
+    ib = rng.integers(0, 2, size=n)
+    u = rng.random(n)
+    cdf = np.array([np.cumsum(born.singlet_joint(experiments.plane_direction(ang_a),
+                                                 experiments.plane_direction(ang_b)).ravel())
+                    for ang_a, ang_b in cfg.angles().values()])
+    pair_code = (2 * ia + ib).astype(np.uint8)
+    cell = np.zeros(n, dtype=np.uint8)
+    for k in range(3):
+        cell += u >= np.take(cdf[:, k], pair_code)
+    counts = np.bincount(4 * pair_code + cell, minlength=16).reshape(4, 4).tolist()
+    return ia, ib, experiments._CELL_A[cell], experiments._CELL_B[cell], counts
+
+
+def whole_array_medical(n_samples, seed):
+    """The estimator drawing one (4, n) array: (mc_estimate, mc_se)."""
+    mu = np.random.default_rng(seed).standard_normal((4, n_samples))
+    za = experiments._FLOAT_A @ mu
+    zb = experiments._FLOAT_B @ mu
+    cond = za > 0
+    p = float(np.mean(zb[cond] > 0))
+    return p, float(np.sqrt(p * (1.0 - p) / int(cond.sum())))
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBlockedDrawsMatchWholeArrays:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_simulate(self, n, seed):
+        angles = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=4)
+        cfg = experiments.ChshConfig(*angles, n_trials=n, seed=seed)
+        run = experiments.chsh_simulate(cfg)
+        ia, ib, oa, ob, counts = whole_array_simulate(cfg)
+        for got, want in zip((run.setting_a, run.setting_b, run.outcome_a, run.outcome_b),
+                             (ia, ib, oa, ob)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for (est, count), row in zip(run.correlations.values(), counts):
+            assert count == sum(row)
+            assert est == (count - 2 * (row[1] + row[2])) / count
+        assert len(run.correlations) == 4
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 7, 19, 2**31 - 1])
+    def test_medical(self, n, seed):
+        res = experiments.medical_bayes(n, seed)
+        assert type(res.mc_estimate) is float and type(res.mc_se) is float
+        assert (res.mc_estimate, res.mc_se) == whole_array_medical(n, seed)
+
+
+class TestMonteCarloMemory:
+    """tracemalloc peaks at 10^6 samples: only returned arrays and the
+    sums the draw order needs are full length."""
+
+    def test_medical(self):
+        _, peak = traced_peak(lambda: experiments.medical_bayes(10**6, 7))
+        assert peak < 24 * 2**20  # the two contrast sums are 16 MB
+
+    def test_simulate_holds_little_beyond_its_result(self):
+        cfg = experiments.ChshConfig(*np.deg2rad([0.0, 90.0, 45.0, 135.0]), 10**6, 42)
+        run, peak = traced_peak(lambda: experiments.chsh_simulate(cfg))
+        returned = sum(a.nbytes for a in (run.setting_a, run.setting_b,
+                                          run.outcome_a, run.outcome_b))
+        assert peak - returned < 4 * 2**20
+
+    def test_write_csv(self, tmp_path):
+        run = experiments.chsh_simulate(
+            experiments.ChshConfig(*np.deg2rad([0.0, 90.0, 45.0, 135.0]), 10**5, 42))
+        _, peak = traced_peak(lambda: run.write_csv(tmp_path / "trials.csv"))
+        assert peak < 2 * 2**20
+        assert (tmp_path / "trials.csv").read_bytes().count(b"\r\n") == 10**5 + 1

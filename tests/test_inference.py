@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,3 +223,35 @@ class TestDeterminism:
         r1 = inference.prop2_experiment(-1.0, 1.0, spec)
         r2 = inference.prop2_experiment(-1.0, 1.0, spec)
         assert r1 == r2
+
+
+def whole_array_prop2(c1, c2, spec):
+    """The experiment drawing every posterior at once: (credibility, coverage)."""
+    rng = spec.rng()
+    x = spec.theta + rng.standard_normal(spec.n)
+    theta_post = x + rng.standard_normal(spec.n)
+    cred = float(np.mean((x + c1 <= theta_post) & (theta_post <= x + c2)))
+    cov = float(np.mean((x + c1 <= spec.theta) & (spec.theta <= x + c2)))
+    return cred, cov
+
+
+class TestProp2Blocks:
+    @pytest.mark.parametrize("n", [10_000, inference._BLOCK - 1, inference._BLOCK,
+                                   inference._BLOCK + 1, 65_535, 65_536, 65_537, 200_003])
+    @pytest.mark.parametrize("seed, theta, c1, c2", [
+        (0, 0.0, -1.96, 1.96), (6, 0.0, -0.5, 0.1), (2**31 - 1, 2.5, -1.0, 3.0)])
+    def test_matches_whole_array_draw(self, n, seed, theta, c1, c2):
+        spec = inference.SimulationSpec(n, seed, theta=theta)
+        res = inference.prop2_experiment(c1, c2, spec)
+        assert type(res.credibility) is float and type(res.coverage) is float
+        assert (res.credibility, res.coverage) == whole_array_prop2(c1, c2, spec)
+
+    def test_memory_at_a_million(self):
+        spec = inference.SimulationSpec(10**6, 6)
+        tracemalloc.start()
+        try:
+            inference.prop2_experiment(-1.96, 1.96, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20  # the data draws are 8 MB
