@@ -11,6 +11,7 @@ import numpy as np
 
 from . import hilbert, spin
 from .errors import DimMismatch, DomainError, NotMaximal
+from .inference import require_count
 from .variables import AccessibleVariable, is_maximal
 
 CLAMP_WINDOW = 1e-12
@@ -98,8 +99,8 @@ def crossval(pairs: int, seed: int) -> dict:
     """Proposition 1 on random direction pairs a, b (drawn in that order):
     the worst gap between (1 + a.b)/2 and |<a;+|b;+>|^2 through the
     eigenbases of the spin-1/2 component variables."""
-    if pairs < 1:
-        raise DomainError(f"need at least one pair, got {pairs}")
+    require_count(pairs, 1, f"need at least one pair, got {pairs}")
+    require_count(seed, 0, "seed must be non-negative")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):

@@ -32,9 +32,9 @@ def _parse_triple(text):
 # `spin --check` holds about ten (2r + 1)^2 complex matrices, and the sphere
 # quadrature holds order^2 coherent states of dimension at most order - 1
 # (128^2 x 127 complex numbers, 33 MB).  The Monte Carlo commands draw in
-# blocks and keep at most 32 B per sample, the four int64 arrays of a chsh
-# run (medical keeps 16 B, prop2 8 B, and --crossval and --random-check
-# one case at a time), so 10^8 samples hold at most 3.2 GB.
+# blocks and keep at most 16 B per sample, medical's two float64 contrast
+# sums (prop2 keeps 8 B, a chsh run 4 B, and --crossval and --random-check
+# one case at a time), so 10^8 samples hold at most 1.6 GB.
 MAX_TWO_R = 200
 MAX_RESOLUTION_ORDER = 128
 MAX_SAMPLES = 10**8

@@ -2,7 +2,9 @@
 
 Every contract violation raises ``DomainError``, a ``ValueError``, or a
 subclass of it, so that callers (and the CLI) can tell bad input from
-programming errors.
+programming errors.  An error raised by a residual check
+(``hilbert.require``) also carries the measured ``residual`` and its bound
+``tol``.
 """
 
 

@@ -11,10 +11,10 @@ spin-1/2 transition probability answer the same question differently.
 
 Both draw their samples in blocks of at most 2^14 from one seeded
 generator, in the order of one whole-array draw, so the numbers do not
-depend on the block length.  Per sample, ``chsh_simulate`` keeps the 32 B
-of the four int64 arrays it returns, ``ChshRun.write_csv`` nothing, and
-``medical_bayes`` the 16 B of its two contrast sums; all else is one block
-long.
+depend on the block length.  Per sample, ``chsh_simulate`` keeps the 4 B
+it returns (two uint8 settings and two int8 outcomes), ``ChshRun.write_csv``
+nothing, and ``medical_bayes`` the 16 B of its two contrast sums; all else
+is one block long.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class ChshConfig:
 @dataclass(frozen=True)
 class ChshRun:
     config: ChshConfig
-    setting_a: np.ndarray   # 0 -> a, 1 -> a'
-    setting_b: np.ndarray
-    outcome_a: np.ndarray   # +/-1
-    outcome_b: np.ndarray
+    setting_a: np.ndarray   # uint8: 0 -> a, 1 -> a'
+    setting_b: np.ndarray   # uint8: 0 -> b, 1 -> b'
+    outcome_a: np.ndarray   # int8: +/-1
+    outcome_b: np.ndarray   # int8: +/-1
     correlations: dict      # (label_a, label_b) -> (estimate, count); empty cells absent
     s_statistic: float      # None when any setting-pair cell is empty
 
@@ -94,8 +94,9 @@ class ChshRun:
         with open(path, "w", newline="") as fh:
             fh.write("trial,setting_a,setting_b,outcome_a,outcome_b\r\n")
             for part in sample_blocks(len(self.setting_a)):
+                neg_a = (self.outcome_a[part] < 0).view(np.uint8)
                 code = (8 * self.setting_a[part] + 4 * self.setting_b[part]
-                        + 2 * (self.outcome_a[part] < 0) + (self.outcome_b[part] < 0))
+                        + 2 * neg_a + (self.outcome_b[part] < 0))
                 fh.write("".join([f"{t},{_TRIAL_ROWS[c]}"
                                   for t, c in enumerate(code.tolist(), part.start)]))
 
@@ -108,8 +109,8 @@ _TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la in SETTING_LABELS_A
 
 # Outcome signs of a joint-law cell, OUTCOMES-major: cell 2i + j is
 # (OUTCOMES[i], OUTCOMES[j]).
-_CELL_A = np.repeat(np.array(born.OUTCOMES, dtype=int), 2)
-_CELL_B = np.tile(np.array(born.OUTCOMES, dtype=int), 2)
+_CELL_A = np.repeat(np.array(born.OUTCOMES, dtype=np.int8), 2)
+_CELL_B = np.tile(np.array(born.OUTCOMES, dtype=np.int8), 2)
 
 
 def chsh_simulate(cfg: ChshConfig) -> ChshRun:
@@ -126,14 +127,20 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
     so the count stops at 3).  Each correlation is (count - 2 neg) / count,
     where neg counts the pair's trials in the cells of opposite signs.
 
-    All settings are drawn before the uniforms, so ``ia`` and ``ib`` are
-    drawn whole; the uniforms, cells, outcomes and counts go one block at
-    a time.
+    Every setting is drawn before the first uniform: ``ia``, then ``ib``,
+    then the uniforms with their cells, outcomes and counts, each one block
+    at a time.  The bit generator keeps the spare half of a 64-bit draw
+    between calls to ``integers``, so blocked settings are those of one
+    whole draw.  Settings are kept as uint8 and outcomes as int8, and
+    every code below (at most 15) is uint8 arithmetic.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_trials
-    ia = rng.integers(0, 2, size=n)
-    ib = rng.integers(0, 2, size=n)
+    ia = np.empty(n, dtype=np.uint8)
+    ib = np.empty(n, dtype=np.uint8)
+    for settings in (ia, ib):
+        for part in sample_blocks(n):
+            settings[part] = rng.integers(0, 2, size=part.stop - part.start)
     pairs = cfg.angles()
     cdf = np.array([np.cumsum(born.singlet_joint(plane_direction(ang_a),
                                                  plane_direction(ang_b)).ravel())
@@ -143,7 +150,7 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
     counts = np.zeros(16, dtype=np.int64)
     for part in sample_blocks(n):
         u = rng.random(part.stop - part.start)
-        pair_code = (2 * ia[part] + ib[part]).astype(np.uint8)
+        pair_code = 2 * ia[part] + ib[part]
         cell = np.zeros(len(u), dtype=np.uint8)
         for k in range(3):
             cell += u >= np.take(cdf[:, k], pair_code)

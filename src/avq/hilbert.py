@@ -32,9 +32,14 @@ EIGEN_MERGE_TOL = 1e-8
 
 
 def require(dev, tol: float, error, what: str):
-    """Raise ``error`` with the measured residual unless dev <= tol (NaN fails)."""
+    """Raise ``error`` with the measured residual unless dev <= tol (NaN
+    fails); the error carries the residual as ``residual`` (a float, NaN
+    kept) and the bound as ``tol``."""
     if not dev <= tol:
-        raise error(f"{what} = {dev} > {tol}")
+        exc = error(f"{what} = {dev} > {tol}")
+        exc.residual = float(dev)
+        exc.tol = tol
+        raise exc
 
 
 def as_operator(a) -> np.ndarray:

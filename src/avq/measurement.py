@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import (BadDistribution, DimMismatch, DomainError, NotDiagonal,
-                     NotEffect, NotFinite, ValueMismatch, ZeroProbabilityBranch)
+from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
+                     ValueMismatch, ZeroProbabilityBranch)
+from .inference import require_count
 from .variables import AccessibleVariable
 
 MODEL_TOL = 1e-10
@@ -211,8 +212,8 @@ def random_check(cases: int, seed: int) -> dict:
     """Worst POVM completeness, Kraus branch-sum and Kraus-versus-Bayes
     residuals over random models in dimension 2-5, each with the diagonal
     instrument diag(sqrt(p(x|.))) and a random prior."""
-    if cases < 1:
-        raise DomainError(f"need at least one case, got {cases}")
+    require_count(cases, 1, f"need at least one case, got {cases}")
+    require_count(seed, 0, "seed must be non-negative")
     rng = np.random.default_rng(seed)
     povm_worst = kraus_worst = bayes_worst = 0.0
     for _ in range(cases):

@@ -1,6 +1,8 @@
 """Every contract check of the library raises a ``DomainError``, which is a
 ``ValueError``; ``tests/test_groups.py`` covers the checks in ``groups``."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from avq import born, experiments, groups, hilbert, inference, measurement, spin, variables
 from avq.errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotFinite,
-                        NotInteger, NotProjector)
+                        NotHermitian, NotInteger, NotProjector, NotUnitary)
 
 EYE2 = np.eye(2, dtype=complex)
 # a projector family that is not orthogonal: diag(1, 0) and |+><+|
@@ -65,11 +67,39 @@ LEANING = (np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
     (lambda: experiments.medical_bayes(10000.5, 1), NotInteger, "10000.5"),
     (lambda: experiments.medical_bayes(False, 1), NotInteger, "bool"),
     (lambda: experiments.medical_bayes(10000, -3), DomainError, "seed"),
+    (lambda: born.crossval(2.5, 1), NotInteger, "2.5"),
+    (lambda: born.crossval(True, 1), NotInteger, "bool"),
+    (lambda: born.crossval(2, 1.0), NotInteger, "got 1.0 of type"),
+    (lambda: born.crossval(2, -1), DomainError, "seed"),
+    (lambda: born.crossval(0, 1), DomainError, "one pair, got 0"),
+    (lambda: measurement.random_check(2.0, 1), NotInteger, "2.0"),
+    (lambda: measurement.random_check(False, 1), NotInteger, "bool"),
+    (lambda: measurement.random_check(2, -1), DomainError, "seed"),
+    (lambda: measurement.random_check(-2, 1), DomainError, "one case, got -2"),
 ])
 def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:
         build()
     assert type(info.value) is error and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("build, error, message, residual, tol", [
+    (lambda: hilbert.require_hermitian([[0.0, 1.0], [0.0, 0.0]]), NotHermitian,
+     "max |A - A^dag| = 1.0 > 1e-10", 1.0, hilbert.HERMITIAN_TOL),
+    (lambda: hilbert.require_unitary(np.diag([1.0, 2.0])), NotUnitary,
+     "max |U^dag U - I| = 3.0 > 1e-10", 3.0, hilbert.UNITARY_TOL),
+    (lambda: spin.as_direction([np.nan, 0.0, 1.0]), DomainError,
+     "direction |norm - 1| = nan > 1e-12", math.nan, spin.DIRECTION_TOL),
+])
+def test_a_failed_residual_check_carries_its_residual(build, error, message, residual, tol):
+    """The error keeps the measured residual and its bound beside the
+    message, which is unchanged."""
+    with pytest.raises(error) as info:
+        build()
+    exc = info.value
+    assert type(exc) is error and str(exc) == message
+    assert type(exc.residual) is float and exc.tol == tol
+    assert exc.residual == residual or (math.isnan(residual) and math.isnan(exc.residual))
 
 
 # every JSON value: null, booleans, numbers, strings, arrays and objects

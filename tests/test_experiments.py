@@ -121,8 +121,9 @@ def masked_reference(cfg):
 
 
 class TestTableSamplerMatchesMaskedReference:
-    """The table-driven sampler gives the masked sampler's trials, dtypes,
-    correlations and s exactly, including runs with empty cells."""
+    """The table-driven sampler gives the masked sampler's trials,
+    correlations and s exactly, including runs with empty cells, and keeps
+    each trial in 4 B."""
 
     ANGLE_SETS = [(0.0, 90.0, 45.0, 135.0), (0.0, 0.0, 0.0, 0.0),
                   (0.0, 0.0, 180.0, 180.0), (10.0, 200.0, 33.0, 301.0)]
@@ -134,7 +135,8 @@ class TestTableSamplerMatchesMaskedReference:
         cfg = experiments.ChshConfig(*np.deg2rad(angles), n_trials=n, seed=seed)
         run = experiments.chsh_simulate(cfg)
         oa, ob, correlations, s = masked_reference(cfg)
-        assert run.outcome_a.dtype == oa.dtype and run.outcome_b.dtype == ob.dtype
+        assert run.setting_a.dtype == run.setting_b.dtype == np.uint8
+        assert run.outcome_a.dtype == run.outcome_b.dtype == np.int8
         assert np.array_equal(run.outcome_a, oa)
         assert np.array_equal(run.outcome_b, ob)
         assert list(run.correlations.items()) == list(correlations.items())
@@ -441,9 +443,10 @@ class TestBlockedDrawsMatchWholeArrays:
         cfg = experiments.ChshConfig(*angles, n_trials=n, seed=seed)
         run = experiments.chsh_simulate(cfg)
         ia, ib, oa, ob, counts = whole_array_simulate(cfg)
-        for got, want in zip((run.setting_a, run.setting_b, run.outcome_a, run.outcome_b),
-                             (ia, ib, oa, ob)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = (run.setting_a, run.setting_b, run.outcome_a, run.outcome_b)
+        assert [a.dtype for a in got] == [np.uint8, np.uint8, np.int8, np.int8]
+        for a, want in zip(got, (ia, ib, oa, ob)):
+            assert np.array_equal(a, want)
         for (est, count), row in zip(run.correlations.values(), counts):
             assert count == sum(row)
             assert est == (count - 2 * (row[1] + row[2])) / count
@@ -470,6 +473,7 @@ class TestMonteCarloMemory:
         run, peak = traced_peak(lambda: experiments.chsh_simulate(cfg))
         returned = sum(a.nbytes for a in (run.setting_a, run.setting_b,
                                           run.outcome_a, run.outcome_b))
+        assert returned == 4 * 10**6
         assert peak - returned < 4 * 2**20
 
     def test_write_csv(self, tmp_path):
