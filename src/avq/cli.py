@@ -34,10 +34,13 @@ def _parse_triple(text):
 # (128^2 x 127 complex numbers, 33 MB).  The Monte Carlo commands draw in
 # blocks and keep at most 16 B per sample, medical's two float64 contrast
 # sums (prop2 keeps 8 B, a chsh run 4 B, and --crossval and --random-check
-# one case at a time), so 10^8 samples hold at most 1.6 GB.
+# one case at a time), so 10^8 samples hold at most 1.6 GB.  `chsh
+# --quantum-max` holds a few arrays of 360 / resolution grid angles, 360,000
+# at the smallest resolution.
 MAX_TWO_R = 200
 MAX_RESOLUTION_ORDER = 128
 MAX_SAMPLES = 10**8
+MIN_RESOLUTION = 0.001
 
 
 def _parse_spin(text):
@@ -76,6 +79,14 @@ def _finite_float(text):
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _resolution(text):
+    value = _finite_float(text)
+    if value < MIN_RESOLUTION:
+        raise argparse.ArgumentTypeError(
+            f"expected a resolution >= {MIN_RESOLUTION} degrees, got {text!r}")
     return value
 
 
@@ -154,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_count, default=None, help="number of trials")
     sp.add_argument("--classical-max", action="store_true")
     sp.add_argument("--quantum-max", action="store_true")
-    sp.add_argument("--resolution", type=_finite_float, default=1.0,
+    sp.add_argument("--resolution", type=_resolution, default=1.0,
                     help="grid resolution in degrees for --quantum-max")
     common(sp)
 

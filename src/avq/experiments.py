@@ -197,42 +197,25 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
     Alice's first angle is fixed at 0 (the statistic only depends on angle
     differences).  Returns ((a, a', b, b') in degrees, s at the maximum).
 
-    For a fixed a', s(b, b') = f(b) + g(b') separates, where f and g are
-    the terms of ``chsh_statistic`` that hold b and b'; so the largest |s|
-    for that a' is max(max f + max g, -(min f + min g)).  Since s as summed
-    by ``chsh_statistic`` rounds differently from f + g, s is re-evaluated
-    on the (b, b') pairs within ``_NEAR_EXTREME`` of the extremes of f and
-    g over the grid, which hold every maximum of |s|.
+    For a fixed a', s(b, b') = f(b) + g(b'), where f and g are the terms
+    of ``chsh_statistic`` that hold b and b'.  A row is searched by summing
+    s again on the (b, b') pairs within ``_NEAR_EXTREME`` of the extremes
+    of f and g, which hold every maximum of |s| on the row, since s as
+    summed rounds differently from f + g.
 
-    Those entries are found without evaluating f or g on the whole grid.
-    Each is a signed sum of E(t, x) = -cos(t - x), so f(x) = -|c| cos(x -
-    arg c) with the phasor c = sum of sign * exp(i t) over its terms
-    (``chsh_statistic`` on exp(i a) and exp(i a')): f is least at arg c and
-    greatest at arg c + pi.  Every angle lies within h/2 of a grid angle (h
-    the step; the gap where the grid wraps past 360 degrees is at most h),
-    so the grid maximum of f as rounded is at least |c| cos(h/2) - eps,
-    eps bounding the rounding of f.  An entry within ``_NEAR_EXTREME`` of
-    it then has |c| cos(x - arg c - pi) >= |c| cos(h/2) - T, with T =
-    ``_NEAR_EXTREME`` + ``_FLOAT_SLACK`` and ``_FLOAT_SLACK`` above 2 eps,
-    so x lies within W = arccos(cos(h/2) - T / |c|) of arg c + pi; likewise
-    for the minimum around arg c.  Each row takes the grid columns within W
-    of both points, plus ``_WINDOW_MARGIN`` steps on each side for rounding
-    an angle to its nearest column and for the wrap gap.  A window as wide
-    as the row is the whole row; W reaches pi when |c| is below about T / 2,
-    which at 1 degree happens for a' = 180 in f and a' = 0 in g, where f or
-    g vanishes.  f and g are evaluated at those columns only, and
-    filtered against each row's max and min over them, which are the grid
-    row's max and min since the windows hold them.
+    Each of f and g is a signed sum of E(t, x) = -cos(t - x), so f(x) =
+    -|c_f| cos(x - arg c_f) for the phasor c_f, ``chsh_statistic``'s terms
+    on exp(i a) and exp(i a'), and no |s| on the row exceeds its bound
+    |c_f| + |c_g| + ``_FLOAT_SLACK``, the slack covering rounding.  The
+    |s| found on the row of largest bound is a floor for the maximum; a
+    row whose bound is below it cannot hold the first maximum.  The other
+    rows are searched in ascending a', a later row must be strictly larger,
+    and within a row the first maximum in the order b, then b' is kept, so
+    the angles and s are those of the full O(N^3) scan, to the bit.
 
-    W is about h/2 unless |c| is tiny, so a row takes 2 (2 (1 +
-    ``_WINDOW_MARGIN``) + 1) columns for each of f and g, and only O(1)
-    rows take the whole row: O(N) work and memory for N grid angles,
-    against N^2 for the full grid.
-
-    Every s is summed elementwise in the order ``chsh_statistic`` gives,
-    exactly as a per-entry scan sums it, and ties go to the first maximum
-    in the scan order a', then b, then b', so the angles and s are those
-    of the full O(N^3) scan, to the bit.
+    The bound, 2 |cos(a'/2)| + 2 |sin(a'/2)|, nears 2 sqrt(2) only close to
+    a' = 90 and 270 degrees, so O(1) rows are searched (one to six on the
+    grids in the tests): O(N) work and memory for N grid angles.
     """
     if not 0.0 < resolution_deg <= 5.0:
         raise DomainError("resolution must be above 0 and at most 5 degrees")
@@ -240,29 +223,27 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
     rad = np.deg2rad(grid)
     e_a = -np.cos(-rad)      # E(a, x) at every grid angle x, a = 0
     phasor = {"a": 1.0, "a'": np.exp(1j * rad)}
-    near = {}
-    for label in SETTING_LABELS_B:
-        row, col = _extreme_windows(_terms(phasor, label), np.deg2rad(resolution_deg))
-        e = {"a": e_a[col], "a'": -np.cos(rad[row] - rad[col])}
-        keep = _near_extremes(row, _terms(e, label))
-        near[label] = row[keep], col[keep], {la: v[keep] for la, v in e.items()}
-    (row_b, jb, _), (row_bp, jbp, _) = near.values()
-    # pair each b candidate with every b' candidate of its row, in order
-    per_row = np.bincount(row_bp, minlength=len(rad))
-    n_bp = per_row[row_b]
-    offset = (np.cumsum(per_row) - per_row)[row_b] - (np.cumsum(n_bp) - n_bp)
-    pair = np.repeat(np.arange(len(jb)), n_bp)
-    pick = {"b": pair, "b'": offset[pair] + np.arange(len(pair))}
-    s = chsh_statistic({(la, lb): near[lb][2][la][pick[lb]] for la, lb in CHSH_SIGNS})
-    k = np.argmax(np.abs(s))
-    ib, ibp = pick["b"][k], pick["b'"][k]
-    return ((0.0, float(grid[row_b[ib]]), float(grid[jb[ib]]), float(grid[jbp[ibp]])),
-            float(s[k]))
+    bound = sum(np.abs(_terms(phasor, label)) for label in SETTING_LABELS_B) + _FLOAT_SLACK
+
+    def search(i):
+        """(s, index of b, index of b') at the first largest |s| of row i."""
+        e = {"a": e_a, "a'": -np.cos(rad[i] - rad)}
+        near = {label: np.flatnonzero(_near_extremes(_terms(e, label)))
+                for label in SETTING_LABELS_B}
+        pick = {"b": near["b"][:, None], "b'": near["b'"][None, :]}
+        s = chsh_statistic({(la, lb): e[la][pick[lb]] for la, lb in CHSH_SIGNS})
+        jb, jbp = np.unravel_index(np.argmax(np.abs(s)), s.shape)
+        return float(s[jb, jbp]), near["b"][jb], near["b'"][jbp]
+
+    floor = abs(search(np.argmax(bound))[0])
+    # max keeps the first of equal maxima, the scan's tie rule
+    i, s, jb, jbp = max(((i, *search(i)) for i in np.flatnonzero(bound >= floor)),
+                        key=lambda found: abs(found[1]))
+    return (0.0, float(grid[i]), float(grid[jb]), float(grid[jbp])), s
 
 
 _NEAR_EXTREME = 1e-9  # far above the rounding gap between s and f + g
-_FLOAT_SLACK = 1e-12  # bounds the rounding of f, g and |c|, a few 1e-16
-_WINDOW_MARGIN = 2    # grid steps added to each side of a window
+_FLOAT_SLACK = 1e-12  # bounds the rounding of s and of |c_f| + |c_g|, a few 1e-16
 
 
 def _terms(e: dict, label: str):
@@ -272,42 +253,9 @@ def _terms(e: dict, label: str):
                            for la, lb in CHSH_SIGNS})
 
 
-def _extreme_windows(c: np.ndarray, step: float) -> tuple:
-    """(row, column) indices, row-major, of the grid columns within the
-    window of each row's extremes, for f(x) = -|c| cos(x - arg c) on the
-    grid of len(c) angles spaced ``step`` radians apart."""
-    n = len(c)
-    r = np.abs(c)
-    with np.errstate(divide="ignore"):
-        cos_w = np.cos(step / 2) - (_NEAR_EXTREME + _FLOAT_SLACK) / r
-    half = np.ceil(np.arccos(np.clip(cos_w, -1.0, 1.0)) / step).astype(int) + _WINDOW_MARGIN
-    width = 2 * half + 1
-    whole = width >= n
-    # two windows per row, at the minimum arg c and the maximum arg c + pi,
-    # or the whole row as one window and an empty one
-    centre = np.rint((np.angle(c)[:, None] + [0.0, np.pi]) / step)
-    first = np.where(whole[:, None], 0, centre.astype(int) - half[:, None])
-    length = np.where(whole[:, None], [n, 0], width[:, None]).ravel()
-    start = np.repeat(np.cumsum(length) - length, length)
-    # window columns run from -n to 2n; wrap them onto the grid by lookup
-    col = np.tile(np.arange(n), 3)[n + np.repeat(first.ravel(), length)
-                                   + np.arange(len(start)) - start]
-    # sort each row's columns, dropping repeats where its windows overlap
-    row = np.repeat(np.arange(n), length.reshape(n, 2).sum(1))
-    key = row * n + col
-    key.sort()
-    keep = np.r_[True, key[1:] != key[:-1]]
-    return row[keep], key[keep] - row[keep] * n
-
-
-def _near_extremes(row: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``h`` within _NEAR_EXTREME of the max or min
-    of their row, where ``row`` labels the entries and is sorted."""
-    first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-    size = np.diff(np.r_[first, len(row)])
-    top = np.repeat(np.maximum.reduceat(h, first), size)
-    bottom = np.repeat(np.minimum.reduceat(h, first), size)
-    return (h >= top - _NEAR_EXTREME) | (h <= bottom + _NEAR_EXTREME)
+def _near_extremes(h: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``h`` within _NEAR_EXTREME of its max or min."""
+    return (h >= h.max() - _NEAR_EXTREME) | (h <= h.min() + _NEAR_EXTREME)
 
 
 # ---------------------------------------------------------------------------

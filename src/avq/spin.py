@@ -14,9 +14,24 @@ from functools import cache
 import numpy as np
 
 from . import hilbert
-from .errors import DomainError, NotFinite
+from .errors import DomainError, NotFinite, NotInteger
 
 DIRECTION_TOL = 1e-12
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int.  Integral values pass, as floats or numpy
+    scalars too; a bool, a non-integral value or a non-number raises
+    NotInteger, and a negative value DomainError."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
+        raise NotInteger(f"{what} must be an integer, got {value!r}")
+    if whole < 0:
+        raise DomainError(f"{what} must be a nonnegative integer")
+    return whole
 
 
 def as_direction(a) -> np.ndarray:
@@ -80,9 +95,7 @@ def spin_operators(two_r: int) -> SpinOperators:
     The arrays are read-only: ladders of dimension up to ``CACHED_DIM``
     are cached, and every caller shares them.
     """
-    if two_r < 0 or int(two_r) != two_r:
-        raise DomainError("two_r must be a nonnegative integer")
-    two_r = int(two_r)
+    two_r = _whole(two_r, "two_r")
     return (_cached_ladder if two_r < CACHED_DIM else _ladder)(two_r)
 
 
@@ -161,6 +174,7 @@ def coherent_states(two_r: int, dirs) -> np.ndarray:
     global phase is fixed here.  The binomials are exact floats, which
     holds up to 2r = 1020.
     """
+    two_r = _whole(two_r, "two_r")
     a = np.asarray(dirs, dtype=float).reshape(-1, 3)
     hilbert.require(np.abs(np.linalg.norm(a, axis=1) - 1.0).max(initial=0.0),
                     DIRECTION_TOL, DomainError, "direction |norm - 1|")
@@ -197,6 +211,7 @@ def resolution_deviation(two_r: int, order: int) -> float:
     (trapezoid, exact for the trigonometric polynomials involved); all
     order^2 nodes enter one product A^T diag(w) conj(A).
     """
+    two_r, order = _whole(two_r, "two_r"), _whole(order, "order")
     d = two_r + 1
     if d == 1:
         return 0.0

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -11,11 +14,32 @@ from avq.errors import ValueMismatch
 
 
 def run_cli(*args, check=False):
-    proc = subprocess.run([sys.executable, "-m", "avq.cli", *args],
-                          capture_output=True, text=True)
+    """``cli.main`` run in-process, with its stdout, stderr and exit code
+    caught as ``python -m avq.cli`` would report them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def two_cli_process_stdouts(*args):
+    """The stdouts of two fresh ``python -m avq.cli`` processes, run side by
+    side with one BLAS thread each so that they do not contend for cores;
+    each must exit 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    procs = [subprocess.Popen([sys.executable, "-m", "avq.cli", *args], text=True, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    outputs = [proc.communicate() for proc in procs]
+    for proc, (_, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+    return [out for out, _ in outputs]
 
 
 class TestSpinCommand:
@@ -342,6 +366,7 @@ class TestFlagTypes:
         ("spin", "--r", "100000", "--check"),
         ("spin", "--r", str(cli.MAX_TWO_R // 2 + 1)),
         ("spin", "--r", "1", "--resolution-order", str(cli.MAX_RESOLUTION_ORDER + 1)),
+        ("chsh", "--quantum-max", "--resolution", str(cli.MIN_RESOLUTION / 2)),
     ])
     def test_size_caps_are_usage_errors(self, args, capsys):
         # parsing only: the cap stops the run before anything is allocated
@@ -407,6 +432,5 @@ class TestDeterminism:
         ("born", "--crossval", "20", "--seed", "13"),
     ])
     def test_byte_identical_reruns(self, args):
-        p1 = run_cli(*args, check=True)
-        p2 = run_cli(*args, check=True)
-        assert p1.stdout == p2.stdout
+        first, second = two_cli_process_stdouts(*args)
+        assert first == second

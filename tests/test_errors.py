@@ -76,6 +76,11 @@ LEANING = (np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
     (lambda: measurement.random_check(False, 1), NotInteger, "bool"),
     (lambda: measurement.random_check(2, -1), DomainError, "seed"),
     (lambda: measurement.random_check(-2, 1), DomainError, "one case, got -2"),
+    # spin's two_r and quadrature order are whole numbers; integral floats pass
+    (lambda: spin.spin_operators(True), NotInteger, "two_r must be an integer, got True"),
+    (lambda: spin.algebra_residuals(True), NotInteger, "got True"),
+    (lambda: spin.resolution_deviation(2, 4.5), NotInteger, "order .* got 4.5"),
+    (lambda: spin.coherent_states(1.5, [[0, 0, 1]]), NotInteger, "two_r .* got 1.5"),
 ])
 def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avq import born, experiments, inference
 
@@ -224,6 +226,30 @@ class TestChshQuantumMax:
     @pytest.mark.parametrize("resolution", [4.9, 3.3, 1.0, 0.7, 0.5, 0.2, 0.37, 2.9, 0.13])
     def test_blocks_match_per_row_search(self, resolution):
         assert experiments.chsh_quantum_max(resolution) == per_row_quantum_max(resolution)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.5, 5.0))
+    def test_matches_per_row_search_at_any_resolution(self, resolution):
+        assert experiments.chsh_quantum_max(resolution) == per_row_quantum_max(resolution)
+
+    @pytest.mark.parametrize("resolution", [5.0, 4.7, 2.9])
+    def test_phasor_bound_holds_on_every_row(self, resolution):
+        # the pruning rests on this: on the row of a', every |s| is at most
+        # |c_b| + |c_b'|, c_lb the sum of sign * exp(i t) over the terms
+        # (t, lb) of the statistic
+        grid = np.arange(0.0, 360.0, resolution)
+        rad = np.deg2rad(grid)
+        b, bp = rad[:, None], rad[None, :]
+        for ap in rad:
+            setting = {"a": 0.0, "a'": ap}
+            bound = sum(abs(sum(sign * np.exp(1j * setting[la])
+                                for (la, lb), sign in experiments.CHSH_SIGNS.items()
+                                if lb == label))
+                        for label in experiments.SETTING_LABELS_B)
+            s = experiments.chsh_statistic({
+                ("a", "b"): -np.cos(-b), ("a", "b'"): -np.cos(-bp),
+                ("a'", "b"): -np.cos(ap - b), ("a'", "b'"): -np.cos(ap - bp)})
+            assert np.abs(s).max() <= bound + 1e-12
 
     def test_memory_stays_bounded(self):
         tracemalloc.start()
