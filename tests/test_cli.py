@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -30,10 +29,8 @@ def run_cli(*args, check=False):
 
 def two_cli_process_stdouts(*args):
     """The stdouts of two fresh ``python -m avq.cli`` processes, run side by
-    side with one BLAS thread each so that they do not contend for cores;
-    each must exit 0."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    procs = [subprocess.Popen([sys.executable, "-m", "avq.cli", *args], text=True, env=env,
+    side in the caller's environment; each must exit 0."""
+    procs = [subprocess.Popen([sys.executable, "-m", "avq.cli", *args], text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
              for _ in range(2)]
     outputs = [proc.communicate() for proc in procs]
