@@ -84,9 +84,10 @@ def _finite_float(text):
 
 def _resolution(text):
     value = _finite_float(text)
-    if value < MIN_RESOLUTION:
+    if not MIN_RESOLUTION <= value <= experiments.MAX_RESOLUTION:
         raise argparse.ArgumentTypeError(
-            f"expected a resolution >= {MIN_RESOLUTION} degrees, got {text!r}")
+            f"expected a resolution in [{MIN_RESOLUTION}, {experiments.MAX_RESOLUTION}] "
+            f"degrees, got {text!r}")
     return value
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import born, spin, variables
 from .errors import DomainError
+from .hilbert import RESIDUAL_TOL
 from .inference import require_count, require_finite, sample_blocks
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
@@ -191,6 +192,9 @@ def chsh_classical_max() -> int:
     return max(classical_statistic_values())
 
 
+MAX_RESOLUTION = 5.0  # degrees: the coarsest grid the search accepts
+
+
 def chsh_quantum_max(resolution_deg: float = 1.0):
     """Grid search of |s| over angle quadruples using the exact correlations.
 
@@ -217,8 +221,9 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
     a' = 90 and 270 degrees, so O(1) rows are searched (one to six on the
     grids in the tests): O(N) work and memory for N grid angles.
     """
-    if not 0.0 < resolution_deg <= 5.0:
-        raise DomainError("resolution must be above 0 and at most 5 degrees")
+    if not 0.0 < resolution_deg <= MAX_RESOLUTION:
+        raise DomainError(
+            f"resolution must be above 0 and at most {MAX_RESOLUTION:g} degrees")
     grid = np.arange(0.0, 360.0, resolution_deg)
     rad = np.deg2rad(grid)
     e_a = -np.cos(-rad)      # E(a, x) at every grid angle x, a = 0
@@ -385,7 +390,7 @@ def medical_report(n_samples: int, seed: int) -> MedicalResult:
     _, rho = medical_contrasts()
     bayes = medical_bayes(n_samples, seed)
     quantum_closed, quantum_abstract = medical_quantum()
-    if abs(quantum_closed - quantum_abstract) > 1e-10:
+    if abs(quantum_closed - quantum_abstract) > RESIDUAL_TOL:
         raise AssertionError("closed-form and abstract routes disagree")
     return MedicalResult(float(rho), bayes.closed_form, bayes.mc_estimate,
                          bayes.mc_se, quantum_closed, PAPER_REPORTED_BAYES)

@@ -342,7 +342,6 @@ def refines(beta: VariableMap, alpha: VariableMap) -> bool:
 @dataclass(frozen=True)
 class InvariantMeasure:
     weights: np.ndarray
-    side: str = "both"  # finite case: counting measure is bi-invariant
 
     def mass(self, points) -> float:
         return float(np.sum(self.weights[list(points)]))

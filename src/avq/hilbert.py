@@ -4,9 +4,9 @@ Operators are square complex numpy arrays, states are unit-norm complex
 vectors, and a family of n operators on C^d (POVM effects, Kraus
 operators) is one (n, d, d) stack.  A spectral resolution is stored as a
 grouped eigenbasis; its eigenprojectors are built each time they are read
-and never stored.  All tolerances are module-level constants and can be
-overridden per call where it matters (eigenvalue merging, symmetry
-checks).
+and never stored.  Each check reads its tolerance from a module-level
+constant: one bound on the max-abs residual of an operator identity, and
+one for merging eigenvalues.
 """
 
 from __future__ import annotations
@@ -19,15 +19,9 @@ import numpy as np
 from .errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotEffect,
                      NotFinite, NotHermitian, NotProjector, NotUnitary)
 
-# Default tolerances.  Symmetry/unitarity/projector checks are absolute on
-# matrix entries; eigenvalue merging is relative to the eigenvalue scale.
-HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
-STATE_NORM_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
-EFFECT_TOL = 1e-10
-TRACE_ONE_TOL = 1e-10
-PSD_TOL = 1e-10
+# Each check of an operator identity (or a norm, trace or spectrum) bounds
+# its max-abs residual; eigenvalue merging is relative to the value's scale.
+RESIDUAL_TOL = 1e-10
 EIGEN_MERGE_TOL = 1e-8
 
 
@@ -71,7 +65,7 @@ def as_operator_stack(ops, what: str) -> np.ndarray:
 def as_state(v) -> np.ndarray:
     """Coerce to a unit-norm complex vector."""
     s = np.asarray(v, dtype=complex).reshape(-1)
-    require(abs(np.linalg.norm(s) - 1.0), STATE_NORM_TOL, DomainError, "state |norm - 1|")
+    require(abs(np.linalg.norm(s) - 1.0), RESIDUAL_TOL, DomainError, "state |norm - 1|")
     return s
 
 
@@ -97,40 +91,41 @@ def effect_residual(f) -> float:
     return float(max(-w.min(), w.max() - 1.0))
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     m = as_operator(a)
-    require(hermitian_residual(m), tol, NotHermitian, "max |A - A^dag|")
+    require(hermitian_residual(m), RESIDUAL_TOL, NotHermitian, "max |A - A^dag|")
     return m
 
 
-def require_unitary(a, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(a) -> np.ndarray:
     m = as_operator(a)
-    require(np.abs(dagger(m) @ m - identity(len(m))).max(), tol, NotUnitary,
+    require(np.abs(dagger(m) @ m - identity(len(m))).max(), RESIDUAL_TOL, NotUnitary,
             "max |U^dag U - I|")
     return m
 
 
-def require_projector(p, tol: float = PROJECTOR_TOL) -> np.ndarray:
+def require_projector(p) -> np.ndarray:
     m = as_operator(p)
-    require(hermitian_residual(m), tol, NotProjector, "max |P - P^dag|")
-    require(np.max(np.abs(m @ m - m)), tol, NotProjector, "max |P^2 - P|")
+    require(hermitian_residual(m), RESIDUAL_TOL, NotProjector, "max |P - P^dag|")
+    require(np.max(np.abs(m @ m - m)), RESIDUAL_TOL, NotProjector, "max |P^2 - P|")
     return m
 
 
-def require_effect(f, tol: float = EFFECT_TOL) -> np.ndarray:
+def require_effect(f) -> np.ndarray:
     """0 <= F <= I within tolerance (Hermitian with spectrum in [0, 1])."""
     m = as_operator(f)
-    require(hermitian_residual(m), tol, NotEffect, "max |F - F^dag|")
-    require(effect_residual(m), tol, NotEffect, "spectral excess beyond [0, 1]")
+    require(hermitian_residual(m), RESIDUAL_TOL, NotEffect, "max |F - F^dag|")
+    require(effect_residual(m), RESIDUAL_TOL, NotEffect, "spectral excess beyond [0, 1]")
     return m
 
 
-def require_density(sigma, tol: float = TRACE_ONE_TOL) -> np.ndarray:
+def require_density(sigma) -> np.ndarray:
     """Hermitian, positive semidefinite, trace one."""
-    m = require_hermitian(sigma, HERMITIAN_TOL)
+    m = require_hermitian(sigma)
     w = np.linalg.eigvalsh(m)
-    require(-w[0], PSD_TOL, NotEffect, "density operator's -(least eigenvalue)")
-    require(abs(np.trace(m).real - 1.0), tol, NotEffect, "density operator's |trace - 1|")
+    require(-w[0], RESIDUAL_TOL, NotEffect, "density operator's -(least eigenvalue)")
+    require(abs(np.trace(m).real - 1.0), RESIDUAL_TOL, NotEffect,
+            "density operator's |trace - 1|")
     return m
 
 
@@ -195,19 +190,18 @@ class EigenDecomposition:
         return self.spectral_sum(np.ones(len(self.sizes)))
 
 
-def eig_hermitian(h, tol: float = HERMITIAN_TOL,
-                  merge_tol: float = EIGEN_MERGE_TOL) -> EigenDecomposition:
+def eig_hermitian(h) -> EigenDecomposition:
     """Eigendecomposition, ascending, with degenerate eigenvalues merged:
-    u joins the current level while within ``merge_tol * (1 + |u|)`` of the
-    level's first eigenvalue, so no level spans more than the tolerance (nor
-    is split into spurious one-dimensional eigenspaces).  A level's value is
-    its first (least) eigenvalue, so consecutive values lie more than
-    ``merge_tol`` apart."""
-    m = require_hermitian(h, tol)
+    u joins the current level while within ``EIGEN_MERGE_TOL * (1 + |u|)``
+    of the level's first eigenvalue, so no level spans more than the
+    tolerance (nor is split into spurious one-dimensional eigenspaces).  A
+    level's value is its first (least) eigenvalue, so consecutive values lie
+    more than ``EIGEN_MERGE_TOL`` apart."""
+    m = require_hermitian(h)
     w, vecs = np.linalg.eigh(m)
     starts = [0]
     for k, u in enumerate(w.tolist()):
-        if u - w[starts[-1]] > merge_tol * (1.0 + abs(u)):
+        if u - w[starts[-1]] > EIGEN_MERGE_TOL * (1.0 + abs(u)):
             starts.append(k)
     return EigenDecomposition(w[starts], vecs, np.diff(starts + [len(w)]))
 
@@ -217,9 +211,9 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def conjugate(u, a, tol: float = UNITARY_TOL) -> np.ndarray:
+def conjugate(u, a) -> np.ndarray:
     """U^dag A U for unitary U; preserves the spectrum of A."""
-    uu = require_unitary(u, tol)
+    uu = require_unitary(u)
     return dagger(uu) @ as_operator(a) @ uu
 
 

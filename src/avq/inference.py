@@ -185,23 +185,18 @@ def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
     return hits / spec.n
 
 
-def p_value_one_sided(sampler, estimator, observed: float,
-                      spec: SimulationSpec, discrete_ties: bool = False) -> float:
+def p_value_one_sided(sampler, estimator, observed: float, spec: SimulationSpec) -> float:
     """Monte Carlo P(estimate(X) > observed) under the null parameter.
 
-    Strict inequality; with ``discrete_ties`` ties contribute half weight
-    (only sensible for discrete samplers).  Keeps the estimates, 8 B per
-    replicate, and one replicate's data at a time.
+    Strict inequality.  Keeps the estimates, 8 B per replicate, and one
+    replicate's data at a time.
     """
     if observed == -np.inf:
         return 1.0
     if observed == np.inf:
         return 0.0
     est = _replicate_estimates(estimator, sampler, spec)
-    p = np.mean(est > observed)
-    if discrete_ties:
-        p += 0.5 * np.mean(est == observed)
-    return float(p)
+    return float(np.mean(est > observed))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ import numpy as np
 from . import hilbert
 from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
                      ValueMismatch, ZeroProbabilityBranch)
+from .hilbert import RESIDUAL_TOL
 from .inference import require_count
-from .variables import AccessibleVariable
+from .variables import VALUE_GAP_TOL, AccessibleVariable
 
-MODEL_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
-VALUE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,10 @@ class StatisticalModel:
                               f"{len(self.sample_points)} samples x {len(vals)} values")
         if not (np.isfinite(vals).all() and np.isfinite(lik).all()):
             raise NotFinite("parameter values and likelihoods must be finite")
-        if np.any(lik < -MODEL_TOL) or np.any(lik > 1.0 + MODEL_TOL):
+        if np.any(lik < -RESIDUAL_TOL) or np.any(lik > 1.0 + RESIDUAL_TOL):
             raise BadDistribution("likelihood entries must lie in [0, 1]")
         colsums = lik.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > MODEL_TOL):
+        if np.any(np.abs(colsums - 1.0) > RESIDUAL_TOL):
             raise BadDistribution("each p(.|u_j) column must sum to 1")
 
     def sample_index(self, x) -> int:
@@ -75,7 +74,7 @@ class StatisticalModel:
 
 def _require_matching(m: StatisticalModel, v: AccessibleVariable):
     if len(m.parameter_values) != len(v.values) or \
-            np.any(np.abs(m.parameter_values - v.values) > VALUE_TOL):
+            np.any(np.abs(m.parameter_values - v.values) > VALUE_GAP_TOL):
         raise ValueMismatch("model parameter values differ from the variable's")
 
 
@@ -97,12 +96,12 @@ class Povm:
     def __post_init__(self):
         effs = hilbert.as_operator_stack(self.effects, "effect")
         object.__setattr__(self, "effects", effs)
-        hilbert.require(hilbert.hermitian_residual(effs), hilbert.EFFECT_TOL,
+        hilbert.require(hilbert.hermitian_residual(effs), RESIDUAL_TOL,
                         NotEffect, "max |F - F^dag| over the effects")
-        hilbert.require(hilbert.effect_residual(effs), hilbert.EFFECT_TOL, NotEffect,
+        hilbert.require(hilbert.effect_residual(effs), RESIDUAL_TOL, NotEffect,
                         "effects' spectral excess beyond [0, 1]")
         hilbert.require(np.abs(effs.sum(0) - hilbert.identity(effs.shape[1])).max(),
-                        MODEL_TOL, BadDistribution, "max |sum of effects - I|")
+                        RESIDUAL_TOL, BadDistribution, "max |sum of effects - I|")
 
 
 def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
@@ -121,7 +120,7 @@ def density_of(pi, v: AccessibleVariable) -> np.ndarray:
         raise BadDistribution("need one weight per variable value")
     if np.any(w < -ZERO_BRANCH_TOL):
         raise BadDistribution("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > MODEL_TOL:
+    if abs(w.sum() - 1.0) > RESIDUAL_TOL:
         raise BadDistribution(f"weights sum to {w.sum()}, not 1")
     sigma = v.spectral_sum(w / v.ranks())
     return hilbert.require_density(sigma)
@@ -157,8 +156,8 @@ class KrausInstrument:
         ops = hilbert.as_operator_stack(self.kraus, "Kraus operator")
         object.__setattr__(self, "kraus", ops)
         total = (hilbert.dagger(ops) @ ops).sum(0)
-        hilbert.require(np.abs(total - hilbert.identity(ops.shape[1])).max(), MODEL_TOL,
-                        BadDistribution, "max |sum of A_j^dag A_j - I|")
+        hilbert.require(np.abs(total - hilbert.identity(ops.shape[1])).max(),
+                        RESIDUAL_TOL, BadDistribution, "max |sum of A_j^dag A_j - I|")
 
     @property
     def n_branches(self) -> int:
@@ -188,10 +187,10 @@ def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
     """Posterior from a diagonal instrument vs the Bayes posterior with
     likelihood |A(j, n)|^2; returns both for comparison."""
     off_diagonal = k.kraus[:, ~np.eye(k.kraus.shape[1], dtype=bool)]
-    if np.abs(off_diagonal).max(initial=0.0) > MODEL_TOL:
+    if np.abs(off_diagonal).max(initial=0.0) > RESIDUAL_TOL:
         raise NotDiagonal("every Kraus operator must be diagonal")
     w = np.asarray(prior, dtype=float).reshape(-1)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > MODEL_TOL:
+    if np.any(w < 0) or abs(w.sum() - 1.0) > RESIDUAL_TOL:
         raise BadDistribution("prior must be a probability vector")
     sigma = np.diag(w).astype(complex)
     p, post = kraus_update(k, sigma, j)

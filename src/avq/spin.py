@@ -196,8 +196,8 @@ def coherent_state(two_r: int, a) -> np.ndarray:
     return _canonical_phase(coherent_states(two_r, as_direction(a))[0])
 
 
-def _canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    idx = np.nonzero(np.abs(v) > tol)[0]
+def _canonical_phase(v: np.ndarray) -> np.ndarray:
+    idx = np.nonzero(np.abs(v) > 1e-12)[0]
     if len(idx) == 0:
         return v
     lead = v[idx[0]]

@@ -29,16 +29,17 @@ class AccessibleVariable(hilbert.EigenDecomposition):
     def __init__(self, name, values, projectors):
         """One orthogonal projector per value; they must sum to I."""
         projs = hilbert.as_operator_stack(projectors, "projector")
-        hilbert.require(hilbert.hermitian_residual(projs), hilbert.PROJECTOR_TOL,
+        hilbert.require(hilbert.hermitian_residual(projs), hilbert.RESIDUAL_TOL,
                         NotProjector, "max |P - P^dag|")
         # the eigenvalue j of sum_j j P_j marks the columns of group j
         k = len(projs)
         w, vecs = np.linalg.eigh(np.einsum("j,jab->ab", np.arange(k), projs))
         group = np.rint(w).clip(0, k - 1).astype(int)
         self._set(name, values, vecs, np.bincount(group, minlength=k))
-        # P_j = V_j V_j^dag for every j makes the P_j orthogonal and complete
-        hilbert.require(np.abs(projs - _projector_stack(self.basis, self.sizes)).max(),
-                        hilbert.PROJECTOR_TOL, NotProjector, "max |P_j - V_j V_j^dag|")
+        # P_j = V_j V_j^dag (entry j of the spectral sum of e_j) for every j
+        # makes the P_j orthogonal and complete
+        hilbert.require(np.abs(projs - self.spectral_sum(np.eye(k))).max(),
+                        hilbert.RESIDUAL_TOL, NotProjector, "max |P_j - V_j V_j^dag|")
 
     def _set(self, name, values, basis, sizes):
         vals = np.asarray(values, dtype=float).reshape(-1)
@@ -72,16 +73,6 @@ class AccessibleVariable(hilbert.EigenDecomposition):
     def from_operator(cls, name, h) -> "AccessibleVariable":
         dec = hilbert.eig_hermitian(h)
         return cls.from_basis(name, dec.eigenvalues, dec.basis, dec.sizes)
-
-
-def _projector_stack(basis, sizes) -> np.ndarray:
-    """The (k, d, d) stack of V_j V_j^dag as one batched product, each column
-    group V_j zero-padded to the widest."""
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    column = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    blocks = np.zeros((len(sizes), len(basis), sizes.max()), dtype=complex)
-    blocks[group, :, column] = basis.T
-    return blocks @ hilbert.dagger(blocks)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from avq import cli, hilbert, measurement, variables
+from avq import cli, experiments, hilbert, measurement, variables
 from avq.errors import ValueMismatch
 
 
@@ -364,6 +364,7 @@ class TestFlagTypes:
         ("spin", "--r", str(cli.MAX_TWO_R // 2 + 1)),
         ("spin", "--r", "1", "--resolution-order", str(cli.MAX_RESOLUTION_ORDER + 1)),
         ("chsh", "--quantum-max", "--resolution", str(cli.MIN_RESOLUTION / 2)),
+        ("chsh", "--quantum-max", "--resolution", "10"),
     ])
     def test_size_caps_are_usage_errors(self, args, capsys):
         # parsing only: the cap stops the run before anything is allocated
@@ -373,6 +374,9 @@ class TestFlagTypes:
         assert cli.build_parser().parse_args(
             ["spin", "--r", str(cli.MAX_TWO_R // 2), "--resolution-order",
              str(cli.MAX_RESOLUTION_ORDER)]).r == cli.MAX_TWO_R
+        for edge in (cli.MIN_RESOLUTION, experiments.MAX_RESOLUTION):
+            assert cli.build_parser().parse_args(
+                ["chsh", "--quantum-max", "--resolution", str(edge)]).resolution == edge
 
     @pytest.mark.parametrize("flag, args", [
         ("--crossval", ("born", "--seed", "1")),

@@ -1,13 +1,16 @@
 """Every contract check of the library raises a ``DomainError``, which is a
 ``ValueError``; ``tests/test_groups.py`` covers the checks in ``groups``."""
 
+import inspect
 import math
+from types import FunctionType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avq
 from avq import born, experiments, groups, hilbert, inference, measurement, spin, variables
 from avq.errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotFinite,
                         NotHermitian, NotInteger, NotProjector, NotUnitary)
@@ -90,9 +93,9 @@ def test_every_library_check_raises_a_domain_error(build, error, message):
 
 @pytest.mark.parametrize("build, error, message, residual, tol", [
     (lambda: hilbert.require_hermitian([[0.0, 1.0], [0.0, 0.0]]), NotHermitian,
-     "max |A - A^dag| = 1.0 > 1e-10", 1.0, hilbert.HERMITIAN_TOL),
+     "max |A - A^dag| = 1.0 > 1e-10", 1.0, hilbert.RESIDUAL_TOL),
     (lambda: hilbert.require_unitary(np.diag([1.0, 2.0])), NotUnitary,
-     "max |U^dag U - I| = 3.0 > 1e-10", 3.0, hilbert.UNITARY_TOL),
+     "max |U^dag U - I| = 3.0 > 1e-10", 3.0, hilbert.RESIDUAL_TOL),
     (lambda: spin.as_direction([np.nan, 0.0, 1.0]), DomainError,
      "direction |norm - 1| = nan > 1e-12", math.nan, spin.DIRECTION_TOL),
 ])
@@ -105,6 +108,43 @@ def test_a_failed_residual_check_carries_its_residual(build, error, message, res
     assert type(exc) is error and str(exc) == message
     assert type(exc.residual) is float and exc.tol == tol
     assert exc.residual == residual or (math.isnan(residual) and math.isnan(exc.residual))
+
+
+def public_callables():
+    """(qualified name, object) for each public function and class defined in
+    a module of ``avq.__all__``, and each public method defined on such a
+    class."""
+    for module in (getattr(avq, name) for name in avq.__all__):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                yield from ((f"{module.__name__}.{name}.{attr}", getattr(obj, attr))
+                            for attr, member in vars(obj).items()
+                            if not attr.startswith("_")
+                            and isinstance(member, (FunctionType, classmethod, staticmethod)))
+
+
+def parameter_names(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # an error class that keeps the builtin constructor
+        return ()
+
+
+def test_no_check_takes_its_tolerance_from_the_caller():
+    """Each check reads its tolerance from one module constant; only
+    ``hilbert.require``, which every check calls with its constant, takes a
+    bound.  Nor is there an option that nothing sets."""
+    callables = dict(public_callables())
+    assert {"avq.hilbert.require", "avq.hilbert.require_density",
+            "avq.variables.AccessibleVariable.from_operator"} <= callables.keys()
+    offenders = [name for name, obj in callables.items() if name != "avq.hilbert.require"
+                 and any(p.endswith("tol") or p in ("discrete_ties", "side")
+                         for p in parameter_names(obj))]
+    assert offenders == []
 
 
 # every JSON value: null, booleans, numbers, strings, arrays and objects

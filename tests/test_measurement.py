@@ -178,7 +178,7 @@ class TestLikelihoodEffect:
             v = variables.AccessibleVariable(v.name, np.arange(d, dtype=float),
                                              v.projectors)
             f = measurement.likelihood_effect(m, v, int(rng.integers(nx)))
-            hilbert.require_effect(f, 1e-10)
+            hilbert.require_effect(f)
 
 
 class TestPovm:
