@@ -31,12 +31,12 @@ def _parse_triple(text):
 # Size caps, so that an allocation too large to succeed is a usage error:
 # `spin --check` holds about ten (2r + 1)^2 complex matrices, and the sphere
 # quadrature holds order^2 coherent states of dimension at most order - 1
-# (128^2 x 127 complex numbers, 33 MB).  The Monte Carlo commands draw in
-# blocks and keep at most 16 B per sample, medical's two float64 contrast
-# sums (prop2 keeps 8 B, a chsh run 4 B, and --crossval and --random-check
-# one case at a time), so 10^8 samples hold at most 1.6 GB.  `chsh
-# --quantum-max` holds a few arrays of 360 / resolution grid angles, 360,000
-# at the smallest resolution.
+# (128^2 x 127 complex numbers, 33 MB).  The Monte Carlo commands keep a
+# few blocks of 2^14 samples and their counts (--crossval and
+# --random-check one case at a time), so their memory does not grow with
+# n, and MAX_SAMPLES bounds their run time only.  `chsh --quantum-max`
+# holds a few arrays of 360 / resolution grid angles, 360,000 at the
+# smallest resolution.
 MAX_TWO_R = 200
 MAX_RESOLUTION_ORDER = 128
 MAX_SAMPLES = 10**8

@@ -9,12 +9,11 @@ reaches 2*sqrt(2) in magnitude quantum mechanically.  The second is the
 four-treatment comparison where a Bayesian orthant calculation and a
 spin-1/2 transition probability answer the same question differently.
 
-Both draw their samples in blocks of at most 2^14 from one seeded
-generator, in the order of one whole-array draw, so the numbers do not
-depend on the block length.  Per sample, ``chsh_simulate`` keeps the 4 B
-it returns (two uint8 settings and two int8 outcomes), ``ChshRun.write_csv``
-nothing, and ``medical_bayes`` the 16 B of its two contrast sums; all else
-is one block long.
+Both walk the sub-streams of one seeded draw in lock-step, in blocks of
+at most 2^14 samples (see ``inference``), so the numbers are those of one
+whole-array draw and memory does not grow with the number of samples: a
+run keeps its counts, and a CHSH run's trials are drawn again from its
+seed whenever they are read.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from . import born, spin, variables
 from .errors import DomainError
 from .hilbert import RESIDUAL_TOL
-from .inference import require_count, require_finite, sample_blocks
+from .inference import require_count, require_finite, sample_blocks, sub_streams
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
                              # closed-form orthant value is ~0.3918
@@ -81,29 +80,54 @@ class ChshConfig:
 
 @dataclass(frozen=True)
 class ChshRun:
+    """A simulation's config and its estimates; no per-trial array is kept.
+
+    ``trials()`` draws the trials again from the config's seed, one block
+    at a time, and each per-trial property builds its whole array from
+    them each time it is read.
+    """
+
     config: ChshConfig
-    setting_a: np.ndarray   # uint8: 0 -> a, 1 -> a'
-    setting_b: np.ndarray   # uint8: 0 -> b, 1 -> b'
-    outcome_a: np.ndarray   # int8: +/-1
-    outcome_b: np.ndarray   # int8: +/-1
     correlations: dict      # (label_a, label_b) -> (estimate, count); empty cells absent
     s_statistic: float      # None when any setting-pair cell is empty
+
+    def trials(self):
+        """(slice, ia, ib, cell) for each block of trials, in order."""
+        return _trial_blocks(self.config)
+
+    @property
+    def setting_a(self) -> np.ndarray:
+        """uint8 per trial: 0 -> a, 1 -> a'."""
+        return np.concatenate([ia for _, ia, _, _ in self.trials()])
+
+    @property
+    def setting_b(self) -> np.ndarray:
+        """uint8 per trial: 0 -> b, 1 -> b'."""
+        return np.concatenate([ib for _, _, ib, _ in self.trials()])
+
+    @property
+    def outcome_a(self) -> np.ndarray:
+        """int8 per trial: +/-1."""
+        return np.concatenate([_CELL_A[cell] for _, _, _, cell in self.trials()])
+
+    @property
+    def outcome_b(self) -> np.ndarray:
+        """int8 per trial: +/-1."""
+        return np.concatenate([_CELL_B[cell] for _, _, _, cell in self.trials()])
 
     def write_csv(self, path):
         """The per-trial log, in the csv module's default (excel) format,
         written one block of trials at a time."""
         with open(path, "w", newline="") as fh:
             fh.write("trial,setting_a,setting_b,outcome_a,outcome_b\r\n")
-            for part in sample_blocks(len(self.setting_a)):
-                neg_a = (self.outcome_a[part] < 0).view(np.uint8)
-                code = (8 * self.setting_a[part] + 4 * self.setting_b[part]
-                        + 2 * neg_a + (self.outcome_b[part] < 0))
+            for part, ia, ib, cell in self.trials():
+                code = 8 * ia + 4 * ib + cell
                 fh.write("".join([f"{t},{_TRIAL_ROWS[c]}"
                                   for t, c in enumerate(code.tolist(), part.start)]))
 
 
 # The row of a trial after its number, indexed by
-# 8 * setting_a + 4 * setting_b + 2 * (outcome_a < 0) + (outcome_b < 0).
+# 8 * setting_a + 4 * setting_b + cell.
 _TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la in SETTING_LABELS_A
                for lb in SETTING_LABELS_B for oa in born.OUTCOMES for ob in born.OUTCOMES]
 
@@ -112,6 +136,32 @@ _TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la in SETTING_LABELS_A
 # (OUTCOMES[i], OUTCOMES[j]).
 _CELL_A = np.repeat(np.array(born.OUTCOMES, dtype=np.int8), 2)
 _CELL_B = np.tile(np.array(born.OUTCOMES, dtype=np.int8), 2)
+
+
+def _draw_settings(rng, m: int) -> np.ndarray:
+    """m settings, each 0 or 1, as uint8.  They are drawn as int64, which
+    takes one 32-bit half of a 64-bit draw per setting."""
+    return rng.integers(0, 2, size=m).astype(np.uint8)
+
+
+def _trial_blocks(cfg: ChshConfig):
+    """(slice, ia, ib, cell) for each block of the run's trials, in order:
+    the uint8 settings and the joint-law cell of each trial (see
+    ``chsh_simulate``)."""
+    n = cfg.n_trials
+    draw_a, draw_b, draw_u = sub_streams(cfg.seed, [n, n], _draw_settings)
+    cdf = np.array([np.cumsum(born.singlet_joint(plane_direction(ang_a),
+                                                 plane_direction(ang_b)).ravel())
+                    for ang_a, ang_b in cfg.angles().values()])
+    for part in sample_blocks(n):
+        ia = _draw_settings(draw_a, part.stop - part.start)
+        ib = _draw_settings(draw_b, len(ia))
+        u = draw_u.random(len(ia))
+        pair_code = 2 * ia + ib
+        cell = np.zeros(len(u), dtype=np.uint8)
+        for k in range(3):
+            cell += u >= np.take(cdf[:, k], pair_code)
+        yield part, ia, ib, cell
 
 
 def chsh_simulate(cfg: ChshConfig) -> ChshRun:
@@ -128,39 +178,17 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
     so the count stops at 3).  Each correlation is (count - 2 neg) / count,
     where neg counts the pair's trials in the cells of opposite signs.
 
-    Every setting is drawn before the first uniform: ``ia``, then ``ib``,
-    then the uniforms with their cells, outcomes and counts, each one block
-    at a time.  The bit generator keeps the spare half of a 64-bit draw
-    between calls to ``integers``, so blocked settings are those of one
-    whole draw.  Settings are kept as uint8 and outcomes as int8, and
-    every code below (at most 15) is uint8 arithmetic.
+    The draw is every ``ia``, then every ``ib``, then every uniform.  These
+    three sub-streams are walked in lock-step, one block at a time, and
+    only the 16 counts of setting pair and cell are kept.  Settings are
+    uint8, and every code below (at most 15) is uint8 arithmetic.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_trials
-    ia = np.empty(n, dtype=np.uint8)
-    ib = np.empty(n, dtype=np.uint8)
-    for settings in (ia, ib):
-        for part in sample_blocks(n):
-            settings[part] = rng.integers(0, 2, size=part.stop - part.start)
-    pairs = cfg.angles()
-    cdf = np.array([np.cumsum(born.singlet_joint(plane_direction(ang_a),
-                                                 plane_direction(ang_b)).ravel())
-                    for ang_a, ang_b in pairs.values()])
-    outcome_a = np.empty(n, dtype=_CELL_A.dtype)
-    outcome_b = np.empty(n, dtype=_CELL_B.dtype)
     counts = np.zeros(16, dtype=np.int64)
-    for part in sample_blocks(n):
-        u = rng.random(part.stop - part.start)
-        pair_code = 2 * ia[part] + ib[part]
-        cell = np.zeros(len(u), dtype=np.uint8)
-        for k in range(3):
-            cell += u >= np.take(cdf[:, k], pair_code)
-        outcome_a[part] = _CELL_A[cell]
-        outcome_b[part] = _CELL_B[cell]
-        counts += np.bincount(4 * pair_code + cell, minlength=16)
+    for _, ia, ib, cell in _trial_blocks(cfg):
+        counts += np.bincount(8 * ia + 4 * ib + cell, minlength=16)
     correlations = {}
     for pair, (plus_plus, plus_minus, minus_plus, minus_minus) in zip(
-            pairs, counts.reshape(4, 4).tolist()):
+            cfg.angles(), counts.reshape(4, 4).tolist()):
         count = plus_plus + plus_minus + minus_plus + minus_minus
         if count > 0:
             correlations[pair] = ((count - 2 * (plus_minus + minus_plus)) / count, count)
@@ -168,7 +196,7 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
         s = chsh_statistic({pair: est for pair, (est, _) in correlations.items()})
     else:
         s = None
-    return ChshRun(cfg, ia, ib, outcome_a, outcome_b, correlations, s)
+    return ChshRun(cfg, correlations, s)
 
 
 def chsh_exact_s(cfg: ChshConfig) -> float:
@@ -330,24 +358,25 @@ def medical_bayes(n_samples: int, seed: int) -> MedicalBayes:
     bivariate-normal orthant value at the exact correlation -1/3.
 
     The draws come treatment by treatment, as the rows of one (4, n) draw
-    would, so the two contrast sums are kept whole (16 B per sample) while
-    each treatment's draws are made and added one block at a time.
+    would.  The four rows are walked in lock-step, and each block's two
+    contrast sums are added row by row in that order, so the sums are
+    those of the whole draw; only the two counts outlive a block.
     """
     require_count(n_samples, 10_000, "need at least 10^4 samples")
     require_count(seed, 0, "seed must be non-negative")
-    rng = np.random.default_rng(seed)
-    za = np.zeros(n_samples)
-    zb = np.zeros(n_samples)
-    for coef_a, coef_b in zip(_FLOAT_A, _FLOAT_B):
-        for part in sample_blocks(n_samples):
-            mu = rng.standard_normal(part.stop - part.start)
-            za[part] += coef_a * mu
-            zb[part] += coef_b * mu
+    rows = sub_streams(seed, [n_samples] * (len(_FLOAT_A) - 1),
+                       np.random.Generator.standard_normal)
     n_cond = hits = 0
     for part in sample_blocks(n_samples):
-        cond = za[part] > 0
+        za = np.zeros(part.stop - part.start)
+        zb = np.zeros(len(za))
+        for rng, coef_a, coef_b in zip(rows, _FLOAT_A, _FLOAT_B):
+            mu = rng.standard_normal(len(za))
+            za += coef_a * mu
+            zb += coef_b * mu
+        cond = za > 0
         n_cond += np.count_nonzero(cond)
-        hits += np.count_nonzero(cond & (zb[part] > 0))
+        hits += np.count_nonzero(cond & (zb > 0))
     p = float(hits / n_cond)
     se = float(np.sqrt(p * (1.0 - p) / n_cond))
     _, rho = medical_contrasts()

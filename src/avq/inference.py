@@ -4,14 +4,20 @@ experiment where credibility and coverage coincide.
 
 All Monte Carlo runs are driven by an explicit seed and generate their
 draws in a fixed canonical order, so a repeated run is bit-identical.
-Large draws are made in blocks of at most 2^14 samples, one block after
-another from the same generator, which yields the numbers of one
-whole-array draw.  Each Monte Carlo routine's docstring gives the bytes per
-sample or replicate it keeps.
+A run's draw is a sequence of consecutive sub-streams of one seeded
+generator, such as all n data draws and then all n posterior draws.
+``sub_streams`` finds the start of each sub-stream by drawing and
+discarding the earlier ones once, and the run then walks its sub-streams
+in lock-step, at most 2^14 samples of each at a time.  The numbers are
+those of one whole-array draw, and a run keeps a few blocks and its
+counts, so its memory does not grow with n: a run is its seed plus its
+counts.  Only ``mse_decompose`` and ``p_value_one_sided`` keep 8 B per
+replicate.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -33,6 +39,26 @@ def sample_blocks(n: int) -> list:
     return [slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
 
 
+def sub_streams(seed: int, lengths, draw) -> list:
+    """A generator at the start of each consecutive sub-stream of the draw
+    seeded by ``seed``: one more than ``lengths``, which holds the length of
+    every sub-stream but the last.
+
+    ``draw(rng, m)`` draws m values of the earlier sub-streams.  Each is
+    drawn and discarded once, one block at a time, and the generator copied
+    at its end; the copy keeps the spare 32-bit half that ``integers``
+    buffers, so drawing from the returned generators block by block gives
+    the numbers of one whole-array draw.
+    """
+    rng = np.random.default_rng(seed)
+    starts = []
+    for length in lengths:
+        starts.append(copy.deepcopy(rng))
+        for part in sample_blocks(length):
+            draw(rng, part.stop - part.start)
+    return starts + [rng]
+
+
 def require_count(value, low: int, message: str) -> None:
     """Raise NotInteger unless ``value`` is an int and not a bool, and
     DomainError(message) if it is below ``low``; a seed has low 0."""
@@ -50,6 +76,20 @@ def require_finite(what: str, *values) -> None:
         finite = False
     if not finite:
         raise NotFinite(f"{what} must be finite real numbers, got {values}")
+
+
+def require_probabilities(w, what: str) -> np.ndarray:
+    """``w`` as a 1-D float array, checked to be a probability vector: every
+    weight finite (NotFinite), none negative and |sum - 1| <= RESIDUAL_TOL
+    (BadDistribution, the sum's error carrying its residual)."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if not np.isfinite(w).all():
+        raise NotFinite(f"{what} {w} are not finite")
+    if np.any(w < 0):
+        raise BadDistribution(f"{what} must be nonnegative")
+    hilbert.require(abs(w.sum() - 1.0), hilbert.RESIDUAL_TOL, BadDistribution,
+                    f"|sum of {what} - 1|")
+    return w
 
 
 def _std_normal_cdf(x: float) -> float:
@@ -71,10 +111,7 @@ class DiscretePrior:
             raise DimMismatch("values and weights must have equal length")
         if not np.isfinite(v).all():
             raise NotFinite(f"values {v} are not finite")
-        if np.any(w < 0):
-            raise BadDistribution("weights must be nonnegative")
-        hilbert.require(abs(w.sum() - 1.0), 1e-12, BadDistribution,
-                        "|sum of weights - 1|")
+        require_probabilities(w, "weights")
 
 
 @dataclass(frozen=True)
@@ -219,21 +256,20 @@ def prop2_experiment(c1: float, c2: float, spec: SimulationSpec) -> EquivalenceR
     Under the flat (invariant) prior the posterior is N(x, 1), so the
     interval's posterior mass and its frequentist coverage are both
     Phi(-c1) - Phi(-c2).  Both sides are estimated by Monte Carlo: one
-    data draw and one posterior draw per replicate, in canonical order.
-    All n data draws come first, so x is kept whole (8 B per replicate);
-    the posterior draws and the hit counts go one block at a time.
+    data draw and one posterior draw per replicate, in canonical order,
+    all n data draws first.  The two sub-streams are walked in lock-step,
+    one block at a time, keeping only the two hit counts.
     """
     require_finite("c1 and c2", c1, c2)
     if c1 >= c2:
         raise DomainError("need c1 < c2")
-    rng = spec.rng()
     theta, n = spec.theta, spec.n
-    x = rng.standard_normal(n)
-    x += theta
+    data, posterior = sub_streams(spec.seed, [n], np.random.Generator.standard_normal)
     cred_hits = cov_hits = 0
     for part in sample_blocks(n):
-        xb = x[part]
-        theta_post = rng.standard_normal(len(xb))
+        xb = data.standard_normal(part.stop - part.start)
+        xb += theta
+        theta_post = posterior.standard_normal(len(xb))
         theta_post += xb
         cred_hits += np.count_nonzero((xb + c1 <= theta_post) & (theta_post <= xb + c2))
         cov_hits += np.count_nonzero((xb + c1 <= theta) & (theta <= xb + c2))

@@ -21,7 +21,7 @@ from . import hilbert
 from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
                      ValueMismatch, ZeroProbabilityBranch)
 from .hilbert import RESIDUAL_TOL
-from .inference import require_count
+from .inference import require_count, require_probabilities
 from .variables import VALUE_GAP_TOL, AccessibleVariable
 
 ZERO_BRANCH_TOL = 1e-12
@@ -118,10 +118,7 @@ def density_of(pi, v: AccessibleVariable) -> np.ndarray:
     w = np.asarray(pi, dtype=float).reshape(-1)
     if len(w) != len(v.values):
         raise BadDistribution("need one weight per variable value")
-    if np.any(w < -ZERO_BRANCH_TOL):
-        raise BadDistribution("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > RESIDUAL_TOL:
-        raise BadDistribution(f"weights sum to {w.sum()}, not 1")
+    require_probabilities(w, "weights")
     sigma = v.spectral_sum(w / v.ranks())
     return hilbert.require_density(sigma)
 
@@ -189,9 +186,7 @@ def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
     off_diagonal = k.kraus[:, ~np.eye(k.kraus.shape[1], dtype=bool)]
     if np.abs(off_diagonal).max(initial=0.0) > RESIDUAL_TOL:
         raise NotDiagonal("every Kraus operator must be diagonal")
-    w = np.asarray(prior, dtype=float).reshape(-1)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > RESIDUAL_TOL:
-        raise BadDistribution("prior must be a probability vector")
+    w = require_probabilities(prior, "prior weights")
     sigma = np.diag(w).astype(complex)
     p, post = kraus_update(k, sigma, j)
     kraus_posterior = np.real(np.diag(post))

@@ -508,3 +508,64 @@ class TestMonteCarloMemory:
         _, peak = traced_peak(lambda: run.write_csv(tmp_path / "trials.csv"))
         assert peak < 2 * 2**20
         assert (tmp_path / "trials.csv").read_bytes().count(b"\r\n") == 10**5 + 1
+
+
+def draw_settings(rng, m):
+    return rng.integers(0, 2, size=m)
+
+
+class TestSubStreams:
+    @pytest.mark.parametrize("n", [1, 3, 17] + BLOCK_SIZES)
+    @pytest.mark.parametrize("draw", [draw_settings, np.random.Generator.standard_normal])
+    def test_lock_step_blocks_match_one_whole_draw(self, n, draw):
+        # odd n starts the second sub-stream of settings in the middle of a
+        # 64-bit draw, whose spare half the copied generator must keep
+        streams = inference.sub_streams(23, [n, n], draw)
+        assert len(streams) == 3
+        drawn = [[] for _ in streams]
+        for part in inference.sample_blocks(n):
+            for blocks, rng in zip(drawn, streams):
+                blocks.append(draw(rng, part.stop - part.start))
+        got = np.concatenate([np.concatenate(blocks) for blocks in drawn])
+        assert np.array_equal(got, draw(np.random.default_rng(23), 3 * n))
+
+
+MILLION_CFG = experiments.ChshConfig(*np.deg2rad([0.0, 90.0, 45.0, 135.0]), 10**6, 42)
+
+
+class TestRunIsSeedPlusCounts:
+    """No Monte Carlo routine keeps an array whose length grows with n."""
+
+    @pytest.mark.parametrize("routine", [
+        lambda: experiments.chsh_simulate(MILLION_CFG),
+        lambda: experiments.medical_bayes(10**6, 7),
+        lambda: inference.prop2_experiment(-1.96, 1.96, inference.SimulationSpec(10**6, 6)),
+    ], ids=["chsh_simulate", "medical_bayes", "prop2_experiment"])
+    def test_peak_at_a_million_samples(self, routine):
+        _, peak = traced_peak(routine)
+        assert peak < 2 * 2**20
+
+    def test_run_holds_no_per_trial_array(self):
+        cfg = experiments.ChshConfig(0.0, 1.0, 2.0, 3.0, 3 * BLOCK + 5, 11)
+        run = experiments.chsh_simulate(cfg)
+        assert set(vars(run)) == {"config", "correlations", "s_statistic"}
+        assert not any(np.size(value) == cfg.n_trials for value in vars(run).values())
+
+    @pytest.mark.parametrize("n", [1, BLOCK + 1, 3 * BLOCK + 5])
+    def test_trial_blocks_concatenate_to_the_arrays(self, n):
+        run = experiments.chsh_simulate(experiments.ChshConfig(0.0, 1.0, 2.0, 3.0, n, 12))
+        parts, ia, ib, cell = zip(*run.trials())
+        assert [p.start for p in parts] == list(range(0, n, BLOCK))
+        assert parts[-1].stop == n
+        cell = np.concatenate(cell)
+        for got, want in [(np.concatenate(ia), run.setting_a),
+                          (np.concatenate(ib), run.setting_b),
+                          (experiments._CELL_A[cell], run.outcome_a),
+                          (experiments._CELL_B[cell], run.outcome_b)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_each_read_builds_a_new_array(self):
+        run = experiments.chsh_simulate(experiments.ChshConfig(0.0, 1.0, 2.0, 3.0, 500, 13))
+        first, second = run.outcome_a, run.outcome_a
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
-from avq import inference
+from avq import hilbert, inference, measurement, variables
 from avq.errors import BadDistribution, NotFinite, ZeroEvidence
 
 
 class TestDiscretePrior:
     def test_rejects_nan_weight(self):
-        with pytest.raises(BadDistribution):
+        with pytest.raises(NotFinite):
             inference.DiscretePrior([0.0, 1.0], [np.nan, 1.0])
 
     def test_rejects_nan_value(self):
@@ -255,3 +255,38 @@ class TestProp2Blocks:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20  # the data draws are 8 MB
+
+
+def coordinate_variable(d):
+    return variables.AccessibleVariable(
+        "v", np.arange(d, dtype=float),
+        tuple(np.diag(e).astype(complex) for e in np.eye(d)))
+
+
+# The three checks of a probability vector, each on a 2-vector.
+PROBABILITY_CHECKS = {
+    "DiscretePrior": lambda w: inference.DiscretePrior([0.0, 1.0], w),
+    "density_of": lambda w: measurement.density_of(w, coordinate_variable(2)),
+    "diagonal_kraus_vs_bayes": lambda w: measurement.diagonal_kraus_vs_bayes(
+        measurement.KrausInstrument((np.eye(2, dtype=complex),)), w, 0),
+}
+
+
+@pytest.mark.parametrize("check", PROBABILITY_CHECKS.values(), ids=PROBABILITY_CHECKS.keys())
+class TestProbabilityVectorsAgree:
+    def test_sum_within_the_residual_bound(self, check):
+        check([0.5, 0.5 + 5e-11])
+
+    def test_sum_beyond_the_residual_bound(self, check):
+        with pytest.raises(BadDistribution) as info:
+            check([0.5, 0.5 + 2e-10])
+        assert info.value.tol == hilbert.RESIDUAL_TOL
+        assert info.value.residual == pytest.approx(2e-10, rel=1e-3)
+
+    def test_tiny_negative_weight(self, check):
+        with pytest.raises(BadDistribution, match="nonnegative"):
+            check([1.0 + 1e-13, -1e-13])
+
+    def test_nan_weight(self, check):
+        with pytest.raises(NotFinite):
+            check([np.nan, 1.0])
