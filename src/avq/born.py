@@ -11,7 +11,7 @@ import numpy as np
 
 from . import hilbert, spin
 from .errors import DimMismatch, DomainError, NotMaximal
-from .inference import require_count
+from .inference import require_count, require_index
 from .variables import AccessibleVariable, is_maximal
 
 CLAMP_WINDOW = 1e-12
@@ -37,6 +37,8 @@ def transition_probability(va: AccessibleVariable, i: int,
                            vb: AccessibleVariable, j: int) -> float:
     """|<a;i|b;j>|^2 for maximal variables."""
     _require_maximal_pair(va, vb)
+    require_index(i, va.dim, "index i")
+    require_index(j, vb.dim, "index j")
     return _clamp(float(np.abs(np.vdot(va.basis[:, i], vb.basis[:, j])) ** 2))
 
 

@@ -1,13 +1,16 @@
 """Command-line front end: seeded batch runs with structured output.
 
-Subcommands: spin | born | chsh | medical | measure | inference.
-JSON is the canonical machine format; CSV is used only for trial logs.
+Subcommands: spin | born | chsh | medical | measure | inference.  Each
+handler returns its report and ``main`` writes it once, as JSON (canonical)
+or ``plain``; CSV is only ``chsh``'s trial log, written to ``--out``.
+A ``--config`` file's entries are flags typed before the command line's own.
 Identical (argv, seed) pairs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -101,7 +104,7 @@ def _parse_angles(text):
 def _emit(report: dict, fmt: str, out=None):
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    elif fmt == "plain":
+    else:  # plain
         lines = []
 
         def walk(prefix, obj):
@@ -115,8 +118,6 @@ def _emit(report: dict, fmt: str, out=None):
 
         walk("", report)
         text = "\n".join(lines) + "\n"
-    else:  # csv is reserved for trial logs
-        raise DomainError(f"format {fmt!r} not available for this report")
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -132,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="avq")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=["json", "csv", "plain"], default="json")
+    def common(sp, formats=("json", "plain")):
+        sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=_seed, default=None)
         sp.add_argument("--config", default=None,
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quantum-max", action="store_true")
     sp.add_argument("--resolution", type=_resolution, default=1.0,
                     help="grid resolution in degrees for --quantum-max")
-    common(sp)
+    common(sp, ("json", "csv", "plain"))
 
     sp = sub.add_parser("medical", help="four-treatment comparison")
     sp.add_argument("--n", type=_count, default=None, help="Monte Carlo samples")
@@ -204,8 +205,7 @@ def _cmd_spin(args, parser):
     if args.component is not None:
         comp = spin.component_operator(two_r, args.component)
         report["component_eigenvalues"] = np.linalg.eigvalsh(comp).tolist()
-    _emit(report, args.format, args.out)
-    return 0
+    return report
 
 
 def _cmd_born(args, parser):
@@ -219,8 +219,7 @@ def _cmd_born(args, parser):
                                 "dot": float(np.dot(args.a, args.b))}
     if not report:
         parser.error("born needs --a/--b or --crossval")
-    _emit(report, args.format, args.out)
-    return 0
+    return report
 
 
 def _cmd_chsh(args, parser):
@@ -249,18 +248,14 @@ def _cmd_chsh(args, parser):
         }
     if not report:
         parser.error("chsh needs --angles, --classical-max or --quantum-max")
-    out = None if args.format == "csv" else args.out
-    _emit(report, "json" if args.format == "csv" else args.format, out)
-    return 0
+    return report
 
 
 def _cmd_medical(args, parser):
     if args.n is None:
         parser.error("--n is required")
     _require_seed(args, parser)
-    result = experiments.medical_report(args.n, args.seed)
-    _emit(result.to_dict(), args.format, args.out)
-    return 0
+    return experiments.medical_report(args.n, args.seed).to_dict()
 
 
 def _cmd_measure(args, parser):
@@ -286,8 +281,7 @@ def _cmd_measure(args, parser):
         report["povm"] = entry
     if not report:
         parser.error("measure needs --random-check or --model/--variable")
-    _emit(report, args.format, args.out)
-    return 0
+    return report
 
 
 def _sample_point(points, text: str):
@@ -304,21 +298,14 @@ def _sample_point(points, text: str):
     raise ValueMismatch(f"no sample point is {text!r}")
 
 
-def _cmd_inference(args, parser):
-    if args.op == "prop2":
-        if args.c1 is None or args.c2 is None or args.n is None:
-            parser.error("prop2 needs --c1, --c2 and --n")
-        _require_seed(args, parser)
-        spec = inference.SimulationSpec(args.n, args.seed, theta=0.0)
-        res = inference.prop2_experiment(args.c1, args.c2, spec)
-        _emit({"prop2": {"c1": args.c1, "c2": args.c2, "n": args.n,
-                         "credibility": res.credibility,
-                         "coverage": res.coverage,
-                         "analytic": res.analytic,
-                         "se_credibility": res.se_credibility,
-                         "se_coverage": res.se_coverage}},
-              args.format, args.out)
-    return 0
+def _cmd_inference(args, parser):  # --op has the one choice prop2
+    if args.c1 is None or args.c2 is None or args.n is None:
+        parser.error("prop2 needs --c1, --c2 and --n")
+    _require_seed(args, parser)
+    spec = inference.SimulationSpec(args.n, args.seed, theta=0.0)
+    res = inference.prop2_experiment(args.c1, args.c2, spec)
+    return {"prop2": {"c1": args.c1, "c2": args.c2, "n": args.n,
+                      **dataclasses.asdict(res)}}
 
 
 _COMMANDS = {"spin": _cmd_spin, "born": _cmd_born, "chsh": _cmd_chsh,
@@ -336,50 +323,49 @@ def _read_json(parser, what: str, path):
         parser.error(f"cannot read {what} {path}: {exc}")
 
 
-def _config_defaults(sub, path) -> dict:
-    """The config file's entries as argparse defaults of the subcommand.
-
-    A value is parsed by its flag's type and checked against its choices
-    as if typed after the flag (lists as comma-separated text); an on/off
-    flag takes true or false.
-    """
+def _config_args(sub, path) -> list:
+    """The config file's entries as command-line flags of the subcommand:
+    ``--flag=value`` (a list as comma-separated text), or ``--flag`` for an
+    on/off flag set true.  ``false`` and ``null`` add nothing, so the flag
+    keeps its default."""
     cfg = _read_json(sub, "config", path)
     if not isinstance(cfg, dict):
         sub.error(f"config {path} must hold a JSON object")
     actions = {a.dest: a for a in sub._actions}
-    defaults = {}
+    flags = []
     for key, value in cfg.items():
         action = actions.get(key.replace("-", "_"))
         if action is None or action.dest in ("help", "config"):
             sub.error(f"config {path}: unknown option {key!r}")
+        flag = action.option_strings[0]
         if action.nargs == 0:  # an on/off flag
             if not isinstance(value, bool):
                 sub.error(f"config {path}: {key} must be true or false")
+            flags += [flag] * value
         elif value is not None:
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            try:
-                value = action.type(text) if action.type else text
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-                sub.error(f"config {path}: {key}: {exc}")
-            if action.choices is not None and value not in action.choices:
-                sub.error(f"config {path}: {key} must be one of {action.choices}")
-        defaults[action.dest] = value
-    return defaults
+            flags.append(f"{flag}={text}")
+    return flags
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config is not None:
-        args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+    if args.config is not None:  # after the subcommand, so typed flags win
+        at = argv.index(args.command) + 1
+        argv[at:at] = _config_args(args.subparser, args.config)
         args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        report = _COMMANDS[args.command](args, parser)
+        log = args.format == "csv"  # chsh wrote its trial log to --out
+        _emit(report, "json" if log else args.format, None if log else args.out)
     except (ValueError, KeyError, OSError) as exc:
         # bad input (DomainError is a ValueError), a key missing from an
         # input file, or an output path that cannot be written
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ seed whenever they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -410,9 +410,7 @@ class MedicalResult:
     paper_reported: float
 
     def to_dict(self) -> dict:
-        return {"rho": self.rho, "bayes_closed": self.bayes_closed,
-                "bayes_mc": self.bayes_mc, "mc_se": self.mc_se,
-                "quantum": self.quantum, "paper_reported": self.paper_reported}
+        return asdict(self)
 
 
 def medical_report(n_samples: int, seed: int) -> MedicalResult:

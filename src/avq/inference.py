@@ -11,8 +11,9 @@ discarding the earlier ones once, and the run then walks its sub-streams
 in lock-step, at most 2^14 samples of each at a time.  The numbers are
 those of one whole-array draw, and a run keeps a few blocks and its
 counts, so its memory does not grow with n: a run is its seed plus its
-counts.  Only ``mse_decompose`` and ``p_value_one_sided`` keep 8 B per
-replicate.
+counts.  ``p_value_one_sided`` keeps a count too; only ``mse_decompose``
+keeps 8 B per replicate, as running sums would move the last bits of its
+moments.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ def require_count(value, low: int, message: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise NotInteger(f"expected an int, got {value!r} of type {type(value).__name__}")
     if value < low:
+        raise DomainError(message)
+
+
+def require_index(value, size: int, what: str) -> None:
+    """Raise NotInteger unless ``value`` is an int and not a bool, and
+    DomainError unless it indexes one of ``size`` items: 0 <= value < size."""
+    message = f"{what} must lie in 0..{size - 1}, got {value!r}"
+    require_count(value, 0, message)
+    if value >= size:
         raise DomainError(message)
 
 
@@ -136,13 +146,13 @@ class IntervalEstimate:
     level: float
 
     def __post_init__(self):
+        # an endpoint may be -inf or +inf, an unbounded side, but not NaN
+        require_finite("interval endpoints",
+                       *(x for x in (self.lower, self.upper) if not math.isinf(x)))
         if self.lower > self.upper:
             raise DomainError("interval endpoints are out of order")
         if not (0.0 < self.level < 1.0):
             raise DomainError("level must lie in (0, 1)")
-
-    def contains(self, x) -> bool:
-        return bool(self.lower <= x <= self.upper)
 
 
 def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
@@ -166,13 +176,13 @@ def posterior_mean(posterior: DiscretePrior) -> float:
     return float(posterior.values @ posterior.weights)
 
 
-def _replicate_estimates(estimator, sampler, spec: SimulationSpec) -> np.ndarray:
-    """estimator(sampler(rng, theta)) for each of the spec's n replicates,
-    drawn in order from one generator seeded by the spec; 8 B per replicate
-    beyond one replicate's data."""
+def _replicate_estimates(estimator, sampler, spec: SimulationSpec):
+    """Yield estimator(sampler(rng, theta)) as a float for each of the
+    spec's n replicates, drawn in order from one generator seeded by the
+    spec, keeping one replicate's data at a time."""
     rng = spec.rng()
-    return np.array([float(estimator(sampler(rng, spec.theta)))
-                     for _ in range(spec.n)])
+    for _ in range(spec.n):
+        yield float(estimator(sampler(rng, spec.theta)))
 
 
 def mse_decompose(estimator, sampler, spec: SimulationSpec):
@@ -183,7 +193,8 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
     exactly on the same-sample moments.  Keeps the estimates, 8 B per
     replicate, and one replicate's data at a time.
     """
-    err = _replicate_estimates(estimator, sampler, spec) - spec.theta
+    err = np.fromiter(_replicate_estimates(estimator, sampler, spec), float,
+                      spec.n) - spec.theta
     mse = float(np.mean(err ** 2))
     bias_sq = float(np.mean(err)) ** 2
     return mse, mse - bias_sq, bias_sq
@@ -202,6 +213,10 @@ def credibility_interval(posterior, level: float) -> IntervalEstimate:
         hi = vals[np.searchsorted(cum, 1.0 - alpha / 2.0)]
     else:
         samples = np.asarray(posterior, dtype=float).reshape(-1)
+        if samples.size == 0:
+            raise DomainError("need at least one posterior sample")
+        require_finite("posterior samples' extremes",
+                       float(samples.min()), float(samples.max()))
         lo, hi = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
     return IntervalEstimate(float(lo), float(hi), level)
 
@@ -225,15 +240,16 @@ def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
 def p_value_one_sided(sampler, estimator, observed: float, spec: SimulationSpec) -> float:
     """Monte Carlo P(estimate(X) > observed) under the null parameter.
 
-    Strict inequality.  Keeps the estimates, 8 B per replicate, and one
-    replicate's data at a time.
+    Strict inequality.  Keeps one replicate's data at a time and a count,
+    nothing per replicate.
     """
     if observed == -np.inf:
         return 1.0
     if observed == np.inf:
         return 0.0
-    est = _replicate_estimates(estimator, sampler, spec)
-    return float(np.mean(est > observed))
+    require_finite("observed", observed)
+    above = sum(est > observed for est in _replicate_estimates(estimator, sampler, spec))
+    return above / spec.n
 
 
 @dataclass(frozen=True)

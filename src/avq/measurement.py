@@ -21,7 +21,7 @@ from . import hilbert
 from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
                      ValueMismatch, ZeroProbabilityBranch)
 from .hilbert import RESIDUAL_TOL
-from .inference import require_count, require_probabilities
+from .inference import require_count, require_index, require_probabilities
 from .variables import VALUE_GAP_TOL, AccessibleVariable
 
 ZERO_BRANCH_TOL = 1e-12
@@ -156,10 +156,6 @@ class KrausInstrument:
         hilbert.require(np.abs(total - hilbert.identity(ops.shape[1])).max(),
                         RESIDUAL_TOL, BadDistribution, "max |sum of A_j^dag A_j - I|")
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.kraus)
-
 
 def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
     """p_j = trace(A_j^dag A_j sigma) for every branch at once, clipped at 0."""
@@ -170,6 +166,7 @@ def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
 
 def kraus_update(k: KrausInstrument, sigma, j: int):
     """(p_j, sigma_j) with sigma_j = A_j sigma A_j^dag / p_j."""
+    require_index(j, len(k.kraus), "branch j")
     sm = hilbert.require_density(sigma)
     a = k.kraus[j]
     p = float(np.real(hilbert.trace_product(hilbert.dagger(a) @ a, sm)))

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import DomainError, NotFinite, NotInteger
+from .inference import require_finite
 
 DIRECTION_TOL = 1e-12
 
@@ -118,6 +119,7 @@ _cached_ladder = cache(_ladder)
 
 def rotation(two_r: int, n, omega: float) -> np.ndarray:
     """exp[i omega (n . A)]: rotation by omega about the unit axis n."""
+    require_finite("omega", omega)
     ops = spin_operators(two_r)
     h = ops.along(n)
     w, v = np.linalg.eigh(h)
@@ -152,6 +154,7 @@ def rotation_matrix(n, omega: float) -> np.ndarray:
     +omega about n (Rodrigues form; the sign is pinned by the covariance
     tests).
     """
+    require_finite("omega", omega)
     nv = as_direction(n)
     k = np.array([[0.0, -nv[2], nv[1]],
                   [nv[2], 0.0, -nv[0]],

@@ -316,6 +316,24 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    def test_bad_value_is_reported_by_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "many", "seed": 2}))
+        proc = run_cli("chsh", "--config", str(cfg))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --n: expected an integer" in proc.stderr
+
+    def test_negative_list_entry_parses_as_one_value(self, tmp_path):
+        # a config value is attached to its flag, --angles=-10,90,45,135, so
+        # argparse cannot take it for a flag as it does a typed -10,...
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"angles": [-10, 90, 45, 135], "n": 2000, "seed": 3}))
+        proc = run_cli("chsh", "--config", str(cfg), check=True)
+        assert proc.stdout == run_cli("chsh", "--angles=-10,90,45,135", "--n", "2000",
+                                      "--seed", "3", check=True).stdout
+        typed = run_cli("chsh", "--angles", "-10,90,45,135", "--n", "2000", "--seed", "3")
+        assert typed.returncode == 2 and typed.stdout == ""
+
 
 class TestPackageEntryPoint:
     def test_python_m_avq_matches_cli_module(self):
@@ -414,6 +432,22 @@ class TestFlagTypes:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ("spin", "--r", "1"),
+        ("born", "--a", "0,0,1", "--b", "1,0,0"),
+        ("medical", "--n", "10000", "--seed", "1"),
+        ("measure", "--random-check", "3", "--seed", "1"),
+        ("inference", "--op", "prop2", "--c1=-1", "--c2", "1", "--n", "100", "--seed", "1"),
+    ])
+    def test_csv_is_a_usage_error_outside_chsh(self, args):
+        # a trial log is the only CSV output, so the flag fails as it is parsed
+        proc = run_cli(*args, "--format", "csv")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"usage: avq {args[0]} ")
+        errors = [line for line in proc.stderr.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and errors[0].startswith(
+            f"avq {args[0]}: error: argument --format: invalid choice")
+
     def test_unknown_flag(self):
         proc = run_cli("spin", "--r", "1", "--bogus")
         assert proc.returncode == 2

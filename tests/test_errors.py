@@ -20,6 +20,17 @@ EYE2 = np.eye(2, dtype=complex)
 LEANING = (np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
 
 
+def which_path():
+    """The two-branch instrument diag(1, 0), diag(0, 1)."""
+    return measurement.KrausInstrument(np.stack([np.diag([1.0, 0.0]),
+                                                 np.diag([0.0, 1.0])]).astype(complex))
+
+
+def spin_z():
+    """The maximal variable of the spin-1/2 z component."""
+    return variables.AccessibleVariable.from_operator("z", spin.component_operator(1, [0, 0, 1]))
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: born.spin_half_transition([0, 0, 1], [0, 0, 1], 0), DomainError, "sign"),
     (lambda: experiments.ChshConfig(0.0, 0.0, 0.0, 0.0, 0, 1), DomainError, "one trial"),
@@ -84,6 +95,33 @@ LEANING = (np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
     (lambda: spin.algebra_residuals(True), NotInteger, "got True"),
     (lambda: spin.resolution_deviation(2, 4.5), NotInteger, "order .* got 4.5"),
     (lambda: spin.coherent_states(1.5, [[0, 0, 1]]), NotInteger, "two_r .* got 1.5"),
+    # indices are ints in 0..n-1: neither wrapped from the end nor a bool
+    (lambda: measurement.kraus_update(which_path(), EYE2 / 2, -1), DomainError,
+     "branch j must lie in 0..1, got -1"),
+    (lambda: measurement.kraus_update(which_path(), EYE2 / 2, 2), DomainError, "got 2"),
+    (lambda: measurement.kraus_update(which_path(), EYE2 / 2, True), NotInteger, "bool"),
+    (lambda: measurement.kraus_update(which_path(), EYE2 / 2, 1.0), NotInteger, "float"),
+    (lambda: measurement.diagonal_kraus_vs_bayes(which_path(), [0.5, 0.5], -1),
+     DomainError, "branch j"),
+    (lambda: measurement.diagonal_kraus_vs_bayes(which_path(), [0.5, 0.5], 2),
+     DomainError, "branch j"),
+    (lambda: born.transition_probability(spin_z(), -1, spin_z(), 0), DomainError,
+     "index i must lie in 0..1, got -1"),
+    (lambda: born.transition_probability(spin_z(), 0, spin_z(), 2), DomainError,
+     "index j must lie in 0..1, got 2"),
+    (lambda: born.transition_probability(spin_z(), True, spin_z(), 0), NotInteger, "bool"),
+    (lambda: born.transition_probability(spin_z(), 0, spin_z(), 1.0), NotInteger, "float"),
+    # NaN is caught where an ordering test alone would let it through
+    (lambda: inference.IntervalEstimate(np.nan, 1.0, 0.5), NotFinite, "endpoints"),
+    (lambda: inference.IntervalEstimate(0.0, np.nan, 0.5), NotFinite, "endpoints"),
+    (lambda: inference.credibility_interval([0.0, np.nan, 1.0], 0.9), NotFinite,
+     "posterior samples"),
+    (lambda: inference.credibility_interval([], 0.9), DomainError, "one posterior sample"),
+    (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: 0.0, np.nan,
+                                         inference.SimulationSpec(10, 1)),
+     NotFinite, "observed"),
+    (lambda: spin.rotation(1, [0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
+    (lambda: spin.rotation_matrix([0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
 ])
 def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:

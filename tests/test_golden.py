@@ -1,7 +1,7 @@
 """Seeded output pinned byte for byte across changes.
 
-``golden/stdout.json`` holds the stdout of each README command, run
-in-process through ``cli.main``, the sha256 of the ``chsh --format csv``
+``golden/stdout.json`` holds the stdout of each README command and of a
+``chsh --config`` run, in-process through ``cli.main``, the sha256 of the ``chsh --format csv``
 trial log, and the stdout of the four demos.  A change that keeps the
 contract "same argv and seed, same bytes" leaves all of it unchanged.
 Regenerate the file only for a change that means to move seeded output,
@@ -34,6 +34,7 @@ COMMANDS = {
     "born_closed": ("born", "--a", "0,0,1", "--b", "1,0,0"),
     "born_crossval": ("born", "--crossval", "500", "--seed", "1"),
     "chsh_bounds": ("chsh", "--classical-max", "--quantum-max", "--resolution", "1"),
+    "chsh_config": ("chsh", "--config", "{golden}/chsh_config.json"),
     "chsh_trials": ("chsh", "--angles", "0,90,45,135", "--n", "100000",
                     "--seed", "42", "--format", "csv", "--out", "{tmp}/trials.csv"),
     "medical": ("medical", "--n", "1000000", "--seed", "7"),

@@ -142,6 +142,11 @@ class TestCredibilityInterval:
         with pytest.raises(ValueError):
             inference.credibility_interval(np.zeros(10), 1.5)
 
+    def test_unbounded_endpoints_are_allowed(self):
+        iv = inference.IntervalEstimate(-np.inf, np.inf, 0.5)
+        assert (iv.lower, iv.upper) == (-np.inf, np.inf)
+        assert inference.IntervalEstimate(np.inf, np.inf, 0.5).lower == np.inf
+
 
 class TestConfidenceCoverage:
     def test_always_rule(self):
@@ -181,6 +186,44 @@ class TestPValue:
             lambda rng, th: th + rng.standard_normal(1), np.mean, 1.645, spec)
         se = np.sqrt(0.05 * 0.95 / spec.n)
         assert abs(p - 0.05) < 3 * se
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 - 1])
+    @pytest.mark.parametrize("observed", [-0.3, 0.0, 1.645])
+    def test_count_matches_array_of_estimates(self, seed, observed):
+        spec = inference.SimulationSpec(3001, seed, theta=0.2)
+        p = inference.p_value_one_sided(normal_draw, float, observed, spec)
+        assert type(p) is float
+        assert p == float(np.mean(estimate_array(spec) > observed))
+
+    def test_memory_does_not_grow_with_replicates(self):
+        spec = inference.SimulationSpec(10**5, 3)
+        inference.p_value_one_sided(normal_draw, float, 1.0, inference.SimulationSpec(9, 3))
+        tracemalloc.start()  # after a first run has loaded numpy.random
+        try:
+            inference.p_value_one_sided(normal_draw, float, 1.0, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19  # an array of the estimates would be 0.8 MB
+
+
+def normal_draw(rng, theta):
+    return theta + rng.standard_normal()
+
+
+def estimate_array(spec):
+    """Every replicate's estimate, float(normal_draw(rng, theta)), in one array."""
+    rng = spec.rng()
+    return np.array([float(normal_draw(rng, spec.theta)) for _ in range(spec.n)])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1])
+def test_mse_decompose_matches_array_of_estimates(seed):
+    spec = inference.SimulationSpec(2001, seed, theta=0.2)
+    err = estimate_array(spec) - spec.theta
+    mse = float(np.mean(err ** 2))
+    bias_sq = float(np.mean(err)) ** 2
+    assert inference.mse_decompose(float, normal_draw, spec) == (mse, mse - bias_sq, bias_sq)
 
 
 class TestProp2:
