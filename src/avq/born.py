@@ -1,5 +1,7 @@
-"""Born probabilities: transition tables, projector and density forms,
-the spin-1/2 closed form, and the two-qubit singlet joint law.
+"""Born probabilities: ``probabilities``, the Born rule p = tr(sigma F) for
+a stack of effects; transition tables between maximal variables; the
+spin-1/2 closed form; the two-qubit singlet joint law.  All of them pass
+through ``_snap``, the one policy for values outside [0, 1].
 """
 
 from __future__ import annotations
@@ -10,20 +12,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert, spin
-from .errors import DimMismatch, DomainError, NotMaximal
+from .errors import BadDistribution, DimMismatch, DomainError, NotMaximal
+from .hilbert import RESIDUAL_TOL
 from .inference import require_count, require_index
 from .variables import AccessibleVariable, is_maximal
-
-CLAMP_WINDOW = 1e-12
 
 OUTCOMES = (+1, -1)  # row/column order of 2x2 joint distributions
 
 
-def _clamp(p: float) -> float:
-    """Snap tiny numerical overshoots into [0, 1]; anything larger is a bug."""
-    if p < -CLAMP_WINDOW or p > 1.0 + CLAMP_WINDOW:
-        raise AssertionError(f"probability {p} outside [0,1] beyond the clamp window")
-    return min(max(p, 0.0), 1.0)
+def _snap(p, d: int):
+    """Born probabilities on C^d clipped into [0, 1], or BadDistribution
+    (with residual and tol) for one further than (d + 2)^2 tol outside,
+    tol = RESIDUAL_TOL.  Derivation: an entrywise residual of tol moves a
+    d x d spectrum by at most d tol, so the Hermitian parts of an accepted
+    sigma and effect F (likelihood effects and Kraus A^dag A included) reach
+    at most delta = (d + 1) tol outside [0, 1], and |tr sigma - 1| <= tol.
+    In sigma's eigenbasis tr(F sigma) = sum_i l_i <v_i|F|v_i>, whose
+    negative l_i sum to at least -d delta, so it lies within
+    (d + 1) delta + tol of [0, 1] to first order; the further (2d + 2) tol
+    covers second-order and rounding terms.  Transitions between accepted
+    bases overshoot by about 2 tol, the spin-1/2 form by DIRECTION_TOL."""
+    hilbert.require(np.abs(p - 0.5).max() - 0.5, (d + 2) ** 2 * RESIDUAL_TOL,
+                    BadDistribution, "Born probability's distance outside [0, 1]")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def probabilities(sigma, effects) -> np.ndarray:
+    """The Born rule p_k = Re tr(F_k sigma) for each effect of an (n, d, d)
+    stack, through ``_snap``.  The caller checks sigma and the effects
+    (``hilbert.require_density``, ``require_effect``, a ``Povm`` or a
+    ``KrausInstrument``); a pure state |s> enters as sigma = |s><s|."""
+    return _snap(np.einsum("nik,ki->n", effects, sigma).real, len(sigma))
 
 
 def _require_maximal_pair(va: AccessibleVariable, vb: AccessibleVariable):
@@ -39,7 +58,7 @@ def transition_probability(va: AccessibleVariable, i: int,
     _require_maximal_pair(va, vb)
     require_index(i, va.dim, "index i")
     require_index(j, vb.dim, "index j")
-    return _clamp(float(np.abs(np.vdot(va.basis[:, i], vb.basis[:, j])) ** 2))
+    return float(_snap(np.abs(np.vdot(va.basis[:, i], vb.basis[:, j])) ** 2, va.dim))
 
 
 @dataclass(frozen=True)
@@ -63,30 +82,7 @@ def transition_table(va: AccessibleVariable, vb: AccessibleVariable) -> Transiti
     """[i, j] = |<a;i|b;j>|^2, all entries at once as |V_a^dag V_b|^2."""
     _require_maximal_pair(va, vb)
     m = np.abs(hilbert.dagger(va.basis) @ vb.basis) ** 2
-    _clamp(float(m.max()))  # entries are >= 0, so only an overshoot above 1 can occur
-    return TransitionTable(va.name, vb.name, va.values, vb.values,
-                           np.minimum(m, 1.0))
-
-
-def born_projector(s, p) -> float:
-    """<s|P|s> for a projector P."""
-    sv = hilbert.as_state(s)
-    pp = hilbert.require_projector(p)
-    return _clamp(np.real(np.conj(sv) @ pp @ sv))
-
-
-def born_density(sigma, p) -> float:
-    """trace(P sigma); reduces to the projector form for pure states."""
-    sm = hilbert.require_density(sigma)
-    pp = hilbert.require_projector(p)
-    return _clamp(np.real(hilbert.trace_product(pp, sm)))
-
-
-def likelihood_density(sigma, f) -> float:
-    """trace(F sigma) for an effect F."""
-    sm = hilbert.require_density(sigma)
-    ff = hilbert.require_effect(f)
-    return _clamp(np.real(hilbert.trace_product(ff, sm)))
+    return TransitionTable(va.name, vb.name, va.values, vb.values, _snap(m, va.dim))
 
 
 def spin_half_transition(a, b, sign: int = +1) -> float:
@@ -94,7 +90,7 @@ def spin_half_transition(a, b, sign: int = +1) -> float:
     av, bv = spin.as_direction(a), spin.as_direction(b)
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    return _clamp(0.5 * (1.0 + sign * float(av @ bv)))
+    return float(_snap(0.5 * (1.0 + sign * float(av @ bv)), 2))
 
 
 def crossval(pairs: int, seed: int) -> dict:
@@ -141,8 +137,8 @@ def singlet_joint(a, b) -> np.ndarray:
     for i, alpha in enumerate(OUTCOMES):
         for j, beta in enumerate(OUTCOMES):
             proj = hilbert.tensor(pa[alpha], pb[beta])
-            joint[i, j] = _clamp(np.real(np.conj(psi) @ proj @ psi))
-    return joint
+            joint[i, j] = np.real(np.conj(psi) @ proj @ psi)
+    return _snap(joint, 4)
 
 
 def singlet_correlation(a, b) -> float:

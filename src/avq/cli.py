@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_seed, default=None)
         sp.add_argument("--config", default=None,
                         help="JSON object of flag defaults; explicit flags win")
-        sp.set_defaults(subparser=sp)
 
     sp = sub.add_parser("spin", help="spin algebra checks and spectra")
     sp.add_argument("--r", required=True, type=_parse_spin,
@@ -271,9 +270,9 @@ def _cmd_measure(args, parser):
         entry = {"effects": [hilbert.operator_to_dict(e) for e in povm.effects]}
         if args.state:
             sigma = hilbert.operator_from_dict(_read_json(parser, "state", args.state))
-            entry["data_probabilities"] = {
-                str(x): measurement.data_probability(sigma, model, var, x)
-                for x in model.sample_points}
+            probs = born.probabilities(hilbert.require_density(sigma), povm.effects)
+            entry["data_probabilities"] = dict(zip(map(str, model.sample_points),
+                                                   probs.tolist()))
         if args.x is not None:
             label = _sample_point(model.sample_points, args.x)
             entry["likelihood_effect"] = hilbert.operator_to_dict(
@@ -351,11 +350,15 @@ def _config_args(sub, path) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # --config is read in a pre-parse and its flags go just after the subcommand,
+    # so the one real parse checks them like typed flags and the typed ones win
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is the real parse's error
+    config = pre.parse_known_args(argv[1:])[0].config
+    commands = parser._subparsers._group_actions[0].choices
+    if config is not None and argv[0] in commands:
+        argv[1:1] = _config_args(commands[argv[0]], config)
     args = parser.parse_args(argv)
-    if args.config is not None:  # after the subcommand, so typed flags win
-        at = argv.index(args.command) + 1
-        argv[at:at] = _config_args(args.subparser, args.config)
-        args = parser.parse_args(argv)
     try:
         report = _COMMANDS[args.command](args, parser)
         log = args.format == "csv"  # chsh wrote its trial log to --out

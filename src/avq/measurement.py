@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hilbert
+from . import born, hilbert
 from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
                      ValueMismatch, ZeroProbabilityBranch)
 from .hilbert import RESIDUAL_TOL
@@ -135,8 +135,7 @@ class Evidence:
         self.sigma = hilbert.require_density(sigma)
 
     def __call__(self, f) -> float:
-        ff = hilbert.require_effect(f)
-        return float(np.real(hilbert.trace_product(self.sigma, ff)))
+        return float(born.probabilities(self.sigma, hilbert.require_effect(f)[None])[0])
 
 
 def evidence(sigma) -> Evidence:
@@ -158,10 +157,9 @@ class KrausInstrument:
 
 
 def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
-    """p_j = trace(A_j^dag A_j sigma) for every branch at once, clipped at 0."""
-    sm = hilbert.require_density(sigma)
-    effects = hilbert.dagger(k.kraus) @ k.kraus
-    return np.maximum(np.einsum("nik,ki->n", effects, sm).real, 0.0)
+    """p_j = trace(A_j^dag A_j sigma) for every branch at once."""
+    return born.probabilities(hilbert.require_density(sigma),
+                              hilbert.dagger(k.kraus) @ k.kraus)
 
 
 def kraus_update(k: KrausInstrument, sigma, j: int):
@@ -169,7 +167,7 @@ def kraus_update(k: KrausInstrument, sigma, j: int):
     require_index(j, len(k.kraus), "branch j")
     sm = hilbert.require_density(sigma)
     a = k.kraus[j]
-    p = float(np.real(hilbert.trace_product(hilbert.dagger(a) @ a, sm)))
+    p = float(born.probabilities(sm, (hilbert.dagger(a) @ a)[None])[0])
     if p <= ZERO_BRANCH_TOL:
         raise ZeroProbabilityBranch(p)
     post = a @ sm @ hilbert.dagger(a) / p
@@ -194,9 +192,8 @@ def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
 
 def data_probability(sigma, m: StatisticalModel, v: AccessibleVariable, x) -> float:
     """trace(M(x) sigma) through the model's likelihood effect."""
-    sm = hilbert.require_density(sigma)
-    f = likelihood_effect(m, v, x)
-    return float(np.real(hilbert.trace_product(f, sm)))
+    return float(born.probabilities(hilbert.require_density(sigma),
+                                    likelihood_effect(m, v, x)[None])[0])
 
 
 def random_check(cases: int, seed: int) -> dict:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avq import born, hilbert, spin, variables
+from avq import born, hilbert, measurement, spin, variables
 from avq.errors import DimMismatch, DomainError, NotMaximal, NotProjector
 
-from conftest import random_density, random_maximal_variable, random_state
+from conftest import random_density, random_maximal_variable, random_state, random_unitary
 
 
 def direction_variable(two_r, a, name):
@@ -53,64 +55,72 @@ class TestTransitionProbability:
             born.transition_probability(va, 0, vb, 0)
 
 
+def born_rule(sigma, f) -> float:
+    """born.probabilities for one effect, with sigma and F checked first as
+    every library caller checks them."""
+    return float(born.probabilities(hilbert.require_density(sigma),
+                                    hilbert.require_effect(f)[None])[0])
+
+
+def pure(s):
+    s = hilbert.as_state(s)
+    return np.outer(s, np.conj(s))
+
+
 class TestBornProjector:
     def test_full_projector(self, rng):
         s = random_state(rng, 3)
-        assert born.born_projector(s, np.eye(3)) == pytest.approx(1.0)
+        assert born_rule(pure(s), np.eye(3)) == pytest.approx(1.0)
 
     def test_own_projector(self, rng):
         s = random_state(rng, 3)
-        assert born.born_projector(s, np.outer(s, np.conj(s))) == pytest.approx(1.0)
+        assert born_rule(pure(s), pure(s)) == pytest.approx(1.0)
 
     def test_z_vs_x(self):
         plus_x = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        p = born.born_projector([1.0, 0.0], np.outer(plus_x, plus_x))
+        p = born_rule(pure([1.0, 0.0]), np.outer(plus_x, plus_x))
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_non_projector(self):
         with pytest.raises(NotProjector):
-            born.born_projector([1.0, 0.0], 0.5 * np.eye(2))
+            hilbert.require_projector(0.5 * np.eye(2))
 
 
 class TestBornDensity:
     def test_maximally_mixed(self):
         p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        assert born.born_density(np.eye(4) / 4, p) == pytest.approx(0.5)
+        assert born_rule(np.eye(4) / 4, p) == pytest.approx(0.5)
 
     def test_pure_reduces_to_projector(self):
         plus_x = np.array([1.0, 1.0]) / np.sqrt(2.0)
         sigma = np.diag([1.0, 0.0]).astype(complex)
-        assert born.born_density(sigma, np.outer(plus_x, plus_x)) == \
+        assert born_rule(sigma, np.outer(plus_x, plus_x)) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_diagonal(self):
         sigma = np.diag([0.7, 0.3]).astype(complex)
-        assert born.born_density(sigma, np.diag([1.0, 0.0])) == pytest.approx(0.7)
+        assert born_rule(sigma, np.diag([1.0, 0.0])) == pytest.approx(0.7)
 
     def test_affine_in_state(self, rng):
         s1, s2 = random_density(rng, 3), random_density(rng, 3)
-        v = random_state(rng, 3)
-        p = np.outer(v, np.conj(v))
+        p = pure(random_state(rng, 3))
         lam = 0.3
-        mix = born.born_density(lam * s1 + (1 - lam) * s2, p)
-        assert mix == pytest.approx(lam * born.born_density(s1, p)
-                                    + (1 - lam) * born.born_density(s2, p),
+        mix = born_rule(lam * s1 + (1 - lam) * s2, p)
+        assert mix == pytest.approx(lam * born_rule(s1, p) + (1 - lam) * born_rule(s2, p),
                                     abs=1e-12)
 
 
 class TestLikelihoodDensity:
     def test_identity(self, rng):
-        assert born.likelihood_density(random_density(rng, 3), np.eye(3)) == \
-            pytest.approx(1.0)
+        assert born_rule(random_density(rng, 3), np.eye(3)) == pytest.approx(1.0)
 
     def test_half_identity(self, rng):
-        assert born.likelihood_density(random_density(rng, 4), 0.5 * np.eye(4)) == \
-            pytest.approx(0.5)
+        assert born_rule(random_density(rng, 4), 0.5 * np.eye(4)) == pytest.approx(0.5)
 
     def test_diagonal_effect(self):
         f = np.diag([0.8, 0.2]).astype(complex)
         sigma = np.diag([0.5, 0.5]).astype(complex)
-        assert born.likelihood_density(sigma, f) == pytest.approx(0.5)
+        assert born_rule(sigma, f) == pytest.approx(0.5)
 
 
 class TestSpinHalfTransition:
@@ -197,3 +207,97 @@ class TestCsvExport:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("a\\b")
+
+
+TOL = hilbert.RESIDUAL_TOL
+UP = np.diag([1.0, 0.0]).astype(complex)
+OVER = np.diag([1.0 + 5e-11, 0.0]).astype(complex)  # an effect the checks accept
+
+
+def over_instrument():
+    return measurement.KrausInstrument(np.stack([np.sqrt(OVER), np.diag([0.0, 1.0])]))
+
+
+def over_model():
+    """Likelihoods 1 + 5e-11 and -5e-11 for sample point 0, so its
+    likelihood effect on the z basis is OVER."""
+    return measurement.StatisticalModel([0.0, 1.0], (0, 1), [[1.0 + 5e-11, 0.0],
+                                                             [-5e-11, 1.0]])
+
+
+def z_basis():
+    return variables.AccessibleVariable.from_basis("z", [0.0, 1.0], np.eye(2), [1, 1])
+
+
+def over_basis():
+    """The basis sqrt(1 + 5e-11) I, whose V^dag V - I the checks accept."""
+    return variables.AccessibleVariable.from_basis("v", [0.0, 1.0],
+                                                   np.sqrt(1.0 + 5e-11) * np.eye(2), [1, 1])
+
+
+class TestOnePolicy:
+    """Every Born probability goes through one snap into [0, 1]."""
+
+    @pytest.mark.parametrize("entry", [
+        lambda: born.probabilities(UP, OVER[None])[0],
+        lambda: measurement.evidence(UP)(OVER),
+        lambda: measurement.kraus_update(over_instrument(), UP, 0)[0],
+        lambda: measurement.branch_probabilities(over_instrument(), UP)[0],
+        lambda: measurement.data_probability(UP, over_model(), z_basis(), 0),
+        lambda: born.transition_probability(over_basis(), 0, over_basis(), 0),
+        lambda: born.transition_table(over_basis(), over_basis()).matrix[0, 0],
+    ], ids=["probabilities", "evidence", "kraus_update", "branch_probabilities",
+            "data_probability", "transition_probability", "transition_table"])
+    def test_an_accepted_overshoot_snaps_to_one(self, entry):
+        assert entry() == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+           reach=st.tuples(*[st.floats(-0.99, 0.99)] * 5), aligned=st.booleans())
+    def test_accepted_input_gives_a_probability(self, seed, d, reach, aligned):
+        """Inputs at the edge of every check they pass (each residual up to
+        0.99 of its tolerance) give a value in [0, 1], or a DomainError, from
+        every Born entry point; never an AssertionError."""
+        trace, least, over, skew, norm = (r * TOL for r in reach)
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, d)
+        w = u if aligned else random_unitary(rng, d)
+        lam = rng.random(d) ** 4
+        lam[-1] = 0.0
+        lam = lam / lam.sum() * (1.0 + trace + abs(least))
+        lam[-1] = -abs(least)
+        sigma = u @ np.diag(lam) @ hilbert.dagger(u) + np.triu(np.full((d, d), skew), 1)
+        f_values = rng.random(d)
+        f_values[0], f_values[-1] = 1.0 + over, -abs(least)
+        f = w @ np.diag(f_values) @ hilbert.dagger(w) + np.triu(np.full((d, d), skew), 1)
+        q = np.clip(f_values, 0.0, None)
+        inst = measurement.KrausInstrument(np.stack([
+            w @ np.diag(np.sqrt(q)) @ hilbert.dagger(w),
+            w @ np.diag(np.sqrt(np.clip(1.0 - q, 0.0, None))) @ hilbert.dagger(w)]))
+        lik = np.stack([f_values, 1.0 - f_values])
+        model = measurement.StatisticalModel(np.arange(d, dtype=float), (0, 1), lik)
+        va, vb = (variables.AccessibleVariable.from_basis(
+            name, np.arange(d, dtype=float), np.sqrt(1.0 + abs(norm)) * v, np.ones(d, int))
+            for name, v in (("a", u), ("b", w)))
+        a = spin.unit(rng.normal(size=3)) * (1.0 + norm * 1e-2)
+        b = a if aligned else -a
+        sm = hilbert.require_density(sigma)
+        entries = [
+            lambda: born.probabilities(sm, hilbert.require_effect(f)[None]),
+            lambda: born.probabilities(sm, measurement.Povm([f, np.eye(d) - f]).effects),
+            lambda: measurement.evidence(sigma)(f),
+            lambda: measurement.branch_probabilities(inst, sigma),
+            lambda: measurement.kraus_update(inst, sigma, 0)[0],
+            lambda: measurement.data_probability(sigma, model, va, 0),
+            lambda: born.transition_probability(va, 0, vb, 0),
+            lambda: born.transition_table(va, vb).matrix,
+            lambda: born.spin_half_transition(a, b, +1),
+            lambda: born.spin_half_transition(a, b, -1),
+            lambda: born.singlet_joint(a, b),
+        ]
+        for entry in entries:
+            try:
+                p = np.asarray(entry())
+            except DomainError:
+                continue
+            assert np.all((p >= 0.0) & (p <= 1.0))

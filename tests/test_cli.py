@@ -288,6 +288,24 @@ class TestConfigFile:
         other = run_cli("medical", "--n", "20000", "--seed", "3", check=True)
         assert proc.stdout == other.stdout
 
+    @pytest.mark.parametrize("entries, typed", [
+        ({"r": "1", "check": True}, ("spin", "--r", "1", "--check")),
+        ({"op": "prop2", "c1": -1.96, "c2": 1.96, "n": 2000, "seed": 6},
+         ("inference", "--op", "prop2", "--c1=-1.96", "--c2", "1.96", "--n", "2000",
+          "--seed", "6")),
+    ], ids=["spin", "inference"])
+    def test_config_supplies_a_required_flag(self, tmp_path, entries, typed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        proc = run_cli(typed[0], "--config", cfg, check=True)
+        assert proc.stdout == run_cli(*typed, check=True).stdout
+
+    def test_typed_flag_wins_over_a_required_one_from_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "1"}))
+        proc = run_cli("spin", "--config", cfg, "--r", "1/2", check=True)
+        assert json.loads(proc.stdout) == {"two_r": 1, "dim": 2}
+
     def test_config_sets_on_off_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classical_max": True}))

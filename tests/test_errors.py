@@ -136,6 +136,9 @@ def test_every_library_check_raises_a_domain_error(build, error, message):
      "max |U^dag U - I| = 3.0 > 1e-10", 3.0, hilbert.RESIDUAL_TOL),
     (lambda: spin.as_direction([np.nan, 0.0, 1.0]), DomainError,
      "direction |norm - 1| = nan > 1e-12", math.nan, spin.DIRECTION_TOL),
+    (lambda: born.probabilities(np.diag([1.0, 0.0]), np.diag([2.0, 0.0])[None]),
+     BadDistribution, "Born probability's distance outside [0, 1] = 1.0 > 1.6e-09", 1.0,
+     16 * hilbert.RESIDUAL_TOL),
 ])
 def test_a_failed_residual_check_carries_its_residual(build, error, message, residual, tol):
     """The error keeps the measured residual and its bound beside the

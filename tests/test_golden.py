@@ -1,8 +1,9 @@
 """Seeded output pinned byte for byte across changes.
 
 ``golden/stdout.json`` holds the stdout of each README command and of a
-``chsh --config`` run, in-process through ``cli.main``, the sha256 of the ``chsh --format csv``
-trial log, and the stdout of the four demos.  A change that keeps the
+``spin --config`` and a ``chsh --config`` run, in-process through
+``cli.main``, the sha256 of the ``chsh --format csv`` trial log, and the
+stdout of the four demos.  A change that keeps the
 contract "same argv and seed, same bytes" leaves all of it unchanged.
 Regenerate the file only for a change that means to move seeded output,
 and say so in CHANGES.md:
@@ -31,6 +32,7 @@ FILES = ("--model", "{golden}/model.json", "--variable", "{golden}/variable.json
 
 COMMANDS = {
     "spin": ("spin", "--r", "1/2", "--check", "--resolution-order", "16"),
+    "spin_config": ("spin", "--config", "{golden}/spin_config.json"),
     "born_closed": ("born", "--a", "0,0,1", "--b", "1,0,0"),
     "born_crossval": ("born", "--crossval", "500", "--seed", "1"),
     "chsh_bounds": ("chsh", "--classical-max", "--quantum-max", "--resolution", "1"),

@@ -52,8 +52,8 @@ class TestStackedFamilies:
             d, n = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             k = random_instrument(rng, d, n)
             sigma = random_density(rng, d)
-            loop = [max(np.real(hilbert.trace_product(hilbert.dagger(a) @ a, sigma)), 0.0)
-                    for a in k.kraus]
+            loop = [min(max(np.real(hilbert.trace_product(hilbert.dagger(a) @ a, sigma)), 0.0),
+                        1.0) for a in k.kraus]
             assert np.array_equal(measurement.branch_probabilities(k, sigma), loop)
 
     @pytest.mark.parametrize("family", [
