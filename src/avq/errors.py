@@ -5,6 +5,11 @@ subclass of it, so that callers (and the CLI) can tell bad input from
 programming errors.  An error raised by a residual check
 (``hilbert.require``) also carries the measured ``residual`` and its bound
 ``tol``.
+
+Inputs are checked once: a public entry point checks what comes from
+outside (arguments, files, what a caller's function returns), and a value
+avq builds from checked parts is returned unchecked (``hilbert._unchecked``),
+since its residuals add up those of its parts.  Passed back in, it is input.
 """
 
 

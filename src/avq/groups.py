@@ -67,6 +67,13 @@ def _generating_set(t: np.ndarray, e: int) -> np.ndarray:
     return np.array(gens, dtype=int)
 
 
+def _derived(t: np.ndarray, e: int) -> dict:
+    """A FiniteGroup's private fields: identity e of the Latin square t,
+    inverses (the one e in each row) and generating set."""
+    return {"_identity": e, "_inverse": np.argmax(t == e, 1),
+            "_generators": _generating_set(t, e)}
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its Cayley table.
@@ -94,17 +101,12 @@ class FiniteGroup:
         ident = np.flatnonzero((t == full).all(1) & (t == full[:, None]).all(0))
         if len(ident) != 1:
             raise BadGroupData("Cayley table has no unique identity")
-        e = int(ident[0])
-        object.__setattr__(self, "_identity", e)
-        inv = np.argmax(t == e, 1)  # the one e in each row of a Latin square
-        if not (t[inv, full] == e).all():
+        vars(self).update(_derived(t, int(ident[0])))
+        if not (t[self._inverse, full] == self._identity).all():
             raise BadGroupData("inverses inconsistent with the table")
-        object.__setattr__(self, "_inverse", inv)
-        gens = _generating_set(t, e)
-        object.__setattr__(self, "_generators", gens)
         # Light's test: (x s) y = x (s y) for all x, y; one (n, n) table per s
         # is faster than one (n, |S|, n) comparison from n ~ 100 up
-        for s in gens.tolist():
+        for s in self._generators.tolist():
             if not (t[t[:, s]] == np.take(t, t[s], axis=1)).all():
                 raise BadGroupData("Cayley table is not associative")
         if self.labels is not None and len(self.labels) != n:
@@ -218,7 +220,10 @@ def group_from_permutations(perms, space) -> GroupAction:
     for lo, hi in zip(levels[1:], levels[2:]):
         cayley[lo:hi] = left[cayley[parent[lo:hi]], via[lo:hi, None]]
     elems = np.concatenate(elems)
-    return GroupAction(FiniteGroup(cayley), space, elems.astype(int))
+    group = hilbert._unchecked(FiniteGroup, cayley=cayley, labels=None,
+                               **_derived(cayley, 0))
+    return hilbert._unchecked(GroupAction, group=group, space=space,
+                              table=elems.astype(int))
 
 
 @dataclass(frozen=True)
@@ -281,29 +286,29 @@ def check_permissible(theta: VariableMap, action: GroupAction) -> bool:
 def induce_action(theta: VariableMap, action: GroupAction) -> GroupAction:
     """Descend a permissible action through theta to the value space.
 
-    The returned table realizes (g theta)(x) := theta(k x); GroupAction
-    checks the homomorphism law on the group's generating set, which
-    implies it for all pairs of elements.
+    The returned table realizes (g theta)(x) := theta(k x), which obeys the
+    action laws because the action does and theta keeps its fibres.
     """
     if not check_permissible(theta, action):
         raise NotPermissible("variable is not permissible under this action")
     table = theta.index_map[action.table[:, _fibre_representatives(theta)]]
-    return GroupAction(action.group, theta.codomain, table)
+    return hilbert._unchecked(GroupAction, group=action.group, space=theta.codomain,
+                              table=table)
 
 
 def maximal_permissible_subgroup(theta: VariableMap, action: GroupAction) -> FiniteGroup:
     """Largest subgroup under which theta descends to the value space.
 
-    Elements h for which theta(h x) depends on x only through theta(x).
-    The result's ``labels`` are the element indices in the parent group.
+    Elements h for which theta(h x) depends on x only through theta(x), a
+    set closed under the product.  The result's ``labels`` are the element
+    indices in the parent group.
     """
     members = np.flatnonzero(_keeps_fibres(theta, action))
     pos = np.full(action.group.order, -1)  # parent index -> subgroup index
     pos[members] = np.arange(len(members))
     cayley = pos[action.group.cayley[np.ix_(members, members)]]
-    if (cayley < 0).any():
-        raise AssertionError("permissible elements are not closed")
-    return FiniteGroup(cayley, labels=tuple(members.tolist()))
+    return hilbert._unchecked(FiniteGroup, cayley=cayley, labels=tuple(members.tolist()),
+                              **_derived(cayley, int(pos[action.group.identity])))
 
 
 def restrict_action(action: GroupAction, subgroup: FiniteGroup) -> GroupAction:

@@ -2,17 +2,14 @@
 
 Operators are square complex numpy arrays, states are unit-norm complex
 vectors, and a family of n operators on C^d (POVM effects, Kraus
-operators) is one (n, d, d) stack.  A spectral resolution is stored as a
-grouped eigenbasis; its eigenprojectors are built each time they are read
-and never stored.  Each check reads its tolerance from a module-level
-constant: one bound on the max-abs residual of an operator identity, and
-one for merging eigenvalues.
+operators) is one (n, d, d) stack.  ``eig_hermitian`` returns a spectral
+resolution as its merged values and a grouped eigenbasis, the fields of an
+``avq.variables.AccessibleVariable``.  Each check reads its tolerance from
+a module-level constant: one bound on the max-abs residual of an operator
+identity, and one for merging eigenvalues.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,81 +126,30 @@ def require_density(sigma) -> np.ndarray:
     return m
 
 
-class _Projectors(Sequence):
-    """The eigenprojectors V_k V_k^dag of a grouped basis as a read-only
-    sequence.  Each read finds group k through the column offsets and
-    builds a fresh d x d array; nothing is stored."""
-
-    def __init__(self, basis, sizes):
-        self._basis = basis
-        self._edges = [0] + np.cumsum(sizes).tolist()
-
-    def __len__(self) -> int:
-        return len(self._edges) - 1
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[j] for j in range(*k.indices(len(self))))
-        k = range(len(self))[k]  # negative k counts from the end
-        b = self._basis[:, self._edges[k]:self._edges[k + 1]]
-        return b @ dagger(b)
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with the given fields,
+    built without running its checks: for a value avq built from parts it
+    has already checked (see ``avq.errors``)."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral resolution as a grouped eigenbasis: the unitary ``basis``
-    has its columns in consecutive groups, and group k, of ``sizes[k]``
-    columns, spans the eigenspace of ``eigenvalues[k]``.
-
-    ``projectors`` is a sequence of the k eigenprojectors, each built from
-    its column group when read and never stored, so a decomposition holds
-    only its values and basis."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    sizes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def blocks(self) -> list:
-        ends = np.cumsum(self.sizes).tolist()
-        return [self.basis[:, e - n:e] for n, e in zip(self.sizes.tolist(), ends)]
-
-    @property
-    def projectors(self) -> Sequence:
-        return _Projectors(self.basis, self.sizes)
-
-    def spectral_sum(self, weights) -> np.ndarray:
-        """sum_k weights[k] * projectors[k], computed as V diag(w) V^dag.
-
-        Weights of shape (n, k) give the (n, d, d) stack of the n sums in
-        one batched product."""
-        w = np.repeat(np.asarray(weights), self.sizes, axis=-1)
-        return (self.basis * w[..., None, :]) @ dagger(self.basis)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.spectral_sum(self.eigenvalues)
-
-    def resolution_sum(self) -> np.ndarray:
-        return self.spectral_sum(np.ones(len(self.sizes)))
-
-
-def eig_hermitian(h) -> EigenDecomposition:
-    """Eigendecomposition, ascending, with degenerate eigenvalues merged:
-    u joins the current level while within ``EIGEN_MERGE_TOL * (1 + |u|)``
-    of the level's first eigenvalue, so no level spans more than the
-    tolerance (nor is split into spurious one-dimensional eigenspaces).  A
-    level's value is its first (least) eigenvalue, so consecutive values lie
-    more than ``EIGEN_MERGE_TOL`` apart."""
+def eig_hermitian(h) -> tuple:
+    """(values, basis, sizes): ascending eigenvalues, degenerate ones merged,
+    and an eigenbasis whose k-th group of sizes[k] columns spans the
+    eigenspace of values[k].  An eigenvalue u joins the current level while
+    within ``EIGEN_MERGE_TOL * (1 + |u|)`` of the level's first eigenvalue,
+    so no level spans more than the tolerance (nor is split into spurious
+    one-dimensional eigenspaces).  A level's value is its first (least)
+    eigenvalue, so consecutive values lie more than ``EIGEN_MERGE_TOL`` apart."""
     m = require_hermitian(h)
     w, vecs = np.linalg.eigh(m)
     starts = [0]
     for k, u in enumerate(w.tolist()):
         if u - w[starts[-1]] > EIGEN_MERGE_TOL * (1.0 + abs(u)):
             starts.append(k)
-    return EigenDecomposition(w[starts], vecs, np.diff(starts + [len(w)]))
+    return w[starts], vecs, np.diff(starts + [len(w)])
 
 
 def tensor(a, b) -> np.ndarray:

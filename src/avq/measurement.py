@@ -9,6 +9,8 @@ A statistical model here is a finite likelihood table p(x | value); its
 likelihood effect for an observed x combines the table with a variable's
 eigenprojectors.  Evidence is deliberately a function of (state, effect)
 only: two models with equal effects are indistinguishable downstream.
+The POVM of a model, the density of weights and a Kraus posterior are built
+from checked inputs and returned without a second check.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class Povm:
     [0, 1], and together they sum to the identity."""
 
     effects: np.ndarray
-    labels: tuple = None
 
     def __post_init__(self):
         effs = hilbert.as_operator_stack(self.effects, "effect")
@@ -109,7 +110,7 @@ def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
     V diag(p(x|.)) V^dag; completeness holds since the model's columns
     each sum to one."""
     _require_matching(m, v)
-    return Povm(v.spectral_sum(m.likelihood), labels=m.sample_points)
+    return hilbert._unchecked(Povm, effects=v.spectral_sum(m.likelihood))
 
 
 def density_of(pi, v: AccessibleVariable) -> np.ndarray:
@@ -119,8 +120,7 @@ def density_of(pi, v: AccessibleVariable) -> np.ndarray:
     if len(w) != len(v.values):
         raise BadDistribution("need one weight per variable value")
     require_probabilities(w, "weights")
-    sigma = v.spectral_sum(w / v.ranks())
-    return hilbert.require_density(sigma)
+    return v.spectral_sum(w / v.sizes)
 
 
 class Evidence:
@@ -163,7 +163,11 @@ def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
 
 
 def kraus_update(k: KrausInstrument, sigma, j: int):
-    """(p_j, sigma_j) with sigma_j = A_j sigma A_j^dag / p_j."""
+    """(p_j, sigma_j) with sigma_j = A_j sigma A_j^dag / p_j, unchecked.
+
+    sigma_j's residuals are sigma's scaled by up to 1/p_j (a least
+    eigenvalue of -1e-11 at p_j = 0.01 can become -1e-9), so a second
+    update, which checks sigma_j as its input, may reject it."""
     require_index(j, len(k.kraus), "branch j")
     sm = hilbert.require_density(sigma)
     a = k.kraus[j]
@@ -171,8 +175,7 @@ def kraus_update(k: KrausInstrument, sigma, j: int):
     if p <= ZERO_BRANCH_TOL:
         raise ZeroProbabilityBranch(p)
     post = a @ sm @ hilbert.dagger(a) / p
-    post = (post + hilbert.dagger(post)) / 2.0  # strip roundoff asymmetry
-    return p, hilbert.require_density(post)
+    return p, (post + hilbert.dagger(post)) / 2.0  # strip roundoff asymmetry
 
 
 def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):

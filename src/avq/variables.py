@@ -1,11 +1,13 @@
 """Accessible variables as named values + grouped orthonormal eigenbasis.
 
-Functions of variables merge eigenspaces, and states are matched back to
-(question, answer) pairs through a variable catalog.
+Functions of variables merge eigenspaces and conjugation permutes values;
+both regroup a checked basis, so only their new values are checked.  States
+are matched back to (question, answer) pairs through a variable catalog.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +20,32 @@ VALUE_GAP_TOL = hilbert.EIGEN_MERGE_TOL
 MATCH_THRESHOLD = 1e-9  # on 1 - |<a;j|s>|
 
 
+class _Projectors(Sequence):
+    """The V_k V_k^dag of column groups V_k, each built when read."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        b = self._blocks[k]
+        return b @ hilbert.dagger(b)
+
+
 @dataclass(frozen=True, init=False)
-class AccessibleVariable(hilbert.EigenDecomposition):
-    """``values[j]`` is taken on the span of the j-th column group of the
-    unitary ``basis``: a ``hilbert.EigenDecomposition`` with a name."""
+class AccessibleVariable:
+    """``values[j]`` is taken on the span of the j-th group, of ``sizes[j]``
+    consecutive columns, of the unitary ``basis``; the eigenprojectors are
+    built when read and never stored."""
 
     name: str
-    values = property(lambda self: self.eigenvalues)
+    values: np.ndarray
+    basis: np.ndarray
+    sizes: np.ndarray
 
     def __init__(self, name, values, projectors):
         """One orthogonal projector per value; they must sum to I."""
@@ -35,33 +56,37 @@ class AccessibleVariable(hilbert.EigenDecomposition):
         k = len(projs)
         w, vecs = np.linalg.eigh(np.einsum("j,jab->ab", np.arange(k), projs))
         group = np.rint(w).clip(0, k - 1).astype(int)
-        self._set(name, values, vecs, np.bincount(group, minlength=k))
+        vars(self).update(vars(_on_basis(name, values, vecs,
+                                         np.bincount(group, minlength=k))))
         # P_j = V_j V_j^dag (entry j of the spectral sum of e_j) for every j
         # makes the P_j orthogonal and complete
         hilbert.require(np.abs(projs - self.spectral_sum(np.eye(k))).max(),
                         hilbert.RESIDUAL_TOL, NotProjector, "max |P_j - V_j V_j^dag|")
 
-    def _set(self, name, values, basis, sizes):
-        vals = np.asarray(values, dtype=float).reshape(-1)
-        sizes = np.asarray(sizes, dtype=int).reshape(-1)
-        basis = hilbert.require_unitary(basis)
-        vars(self).update(name=name, eigenvalues=vals, basis=basis, sizes=sizes)
-        if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
-            raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
-                              f"among {len(vals)} values")
-        ordered = np.sort(vals)
-        if not (np.isfinite(ordered).all() and (np.diff(ordered) > VALUE_GAP_TOL).all()):
-            raise DomainError(f"values {vals} are not finite and distinct")
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
-    def ranks(self) -> np.ndarray:
-        return self.sizes
+    def blocks(self) -> list:
+        ends = np.cumsum(self.sizes).tolist()
+        return [self.basis[:, e - n:e] for n, e in zip(self.sizes.tolist(), ends)]
+
+    @property
+    def projectors(self) -> Sequence:
+        return _Projectors(self.blocks())
+
+    def spectral_sum(self, weights) -> np.ndarray:
+        """sum_k weights[k] * projectors[k], computed as V diag(w) V^dag.
+
+        Weights of shape (n, k) give the (n, d, d) stack of the n sums in
+        one batched product."""
+        w = np.repeat(np.asarray(weights), self.sizes, axis=-1)
+        return (self.basis * w[..., None, :]) @ hilbert.dagger(self.basis)
 
     @classmethod
     def from_basis(cls, name, values, basis, sizes) -> "AccessibleVariable":
         """values[j] on the j-th group of sizes[j] consecutive columns of basis."""
-        v = cls.__new__(cls)
-        v._set(name, values, basis, sizes)
-        return v
+        return _on_basis(name, values, hilbert.require_unitary(basis), sizes)
 
     @classmethod
     def from_eigenbasis(cls, name, values, vectors) -> "AccessibleVariable":
@@ -71,8 +96,23 @@ class AccessibleVariable(hilbert.EigenDecomposition):
 
     @classmethod
     def from_operator(cls, name, h) -> "AccessibleVariable":
-        dec = hilbert.eig_hermitian(h)
-        return cls.from_basis(name, dec.eigenvalues, dec.basis, dec.sizes)
+        values, basis, sizes = hilbert.eig_hermitian(h)
+        return hilbert._unchecked(cls, name=name, values=values, basis=basis, sizes=sizes)
+
+
+def _on_basis(name, values, basis, sizes) -> AccessibleVariable:
+    """A variable on a basis avq has checked or built: only the sizes (which
+    split the dimension among the values) and the values are checked."""
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    sizes = np.asarray(sizes, dtype=int).reshape(-1)
+    if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
+        raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
+                          f"among {len(vals)} values")
+    ordered = np.sort(vals)
+    if not (np.isfinite(ordered).all() and (np.diff(ordered) > VALUE_GAP_TOL).all()):
+        raise DomainError(f"values {vals} are not finite and distinct")
+    return hilbert._unchecked(AccessibleVariable, name=name, values=vals, basis=basis,
+                              sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -82,7 +122,7 @@ class QuestionAnswer:
 
 
 def operator_of(v: AccessibleVariable) -> np.ndarray:
-    return v.reconstruct()
+    return v.spectral_sum(v.values)
 
 
 def derived_variable(v: AccessibleVariable, t, name=None) -> AccessibleVariable:
@@ -100,8 +140,8 @@ def derived_variable(v: AccessibleVariable, t, name=None) -> AccessibleVariable:
     blocks = v.blocks()
     basis = np.hstack([blocks[j] for fiber in fibers for j in fiber])
     sizes = [v.sizes[fiber].sum() for fiber in fibers]
-    return AccessibleVariable.from_basis(name or f"{v.name}'", new_values,
-                                         basis, sizes)
+    # the basis is v's, regrouped; the values are images under the caller's t
+    return _on_basis(name or f"{v.name}'", new_values, basis, sizes)
 
 
 def is_maximal(v: AccessibleVariable) -> bool:
@@ -149,8 +189,7 @@ def conjugated_variable(v: AccessibleVariable, u, value_action,
     # entry j: value action(u_j), on U^dag times v's eigenvectors for that value
     blocks = v.blocks()
     basis = hilbert.dagger(uu) @ np.hstack([blocks[j] for j in perm])
-    return AccessibleVariable.from_basis(name or f"{v.name}*", new_values,
-                                         basis, v.sizes[perm])
+    return _on_basis(name or f"{v.name}*", new_values, basis, v.sizes[perm])
 
 
 def variable_to_dict(v: AccessibleVariable) -> dict:

@@ -317,6 +317,7 @@ def assert_matches_reference(gens, p, maps=()):
     ref = reference_closure(gens, p)
     assert groups.action_to_dict(act) == ref
     assert act.group.cayley.dtype == int and act.table.dtype == int
+    assert_passes_the_checks(act)
     assert_generates(act.group)
     e = act.group.identity
     assert e == 0
@@ -334,11 +335,26 @@ def assert_matches_reference(gens, p, maps=()):
                                        for a in members]
         restricted = groups.restrict_action(act, sub)
         assert restricted.table.tolist() == [ref["action"][h] for h in members]
+        assert_passes_the_checks(groups.induce_action(theta, restricted))
         if len(members) == ref["order"]:
             rep = [m.index(v) for v in range(max(m) + 1)]
             induced = groups.induce_action(theta, act)
             assert induced.table.tolist() == [[m[row[x]] for x in rep]
                                               for row in ref["action"]]
+            assert_passes_the_checks(induced)
+
+
+def assert_passes_the_checks(action):
+    """FiniteGroup and GroupAction, whose checks avq's own closures,
+    subgroups and induced actions skip, accept them and derive the same
+    identity, inverses and generators."""
+    group = action.group
+    again = groups.FiniteGroup(group.cayley, group.labels)
+    assert again.identity == group.identity
+    for field in ("_inverse", "_generators"):
+        assert np.array_equal(getattr(again, field), getattr(group, field))
+        assert getattr(again, field).dtype == getattr(group, field).dtype
+    groups.GroupAction(group, action.space, action.table)
 
 
 def assert_generates(group):

@@ -3,40 +3,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avq import hilbert, measurement
+from avq import hilbert, measurement, variables
 from avq.errors import (DimMismatch, NotEffect, NotFinite, NotHermitian, NotProjector,
                         NotUnitary)
 
 from conftest import SX, SY, SZ, random_hermitian, random_state, random_unitary
 
 
+def decompose(h):
+    """eig_hermitian's merged levels, through the variable built on them."""
+    return variables.AccessibleVariable.from_operator("h", h)
+
+
 class TestEigHermitian:
     def test_diagonal(self):
-        dec = hilbert.eig_hermitian(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0])
+        dec = decompose(np.diag([1.0, 2.0, 3.0]))
+        assert np.allclose(dec.values, [1.0, 2.0, 3.0])
         for k, p in enumerate(dec.projectors):
             e = np.zeros(3)
             e[k] = 1.0
             assert np.allclose(p, np.outer(e, e))
 
     def test_pauli_x(self):
-        dec = hilbert.eig_hermitian(SX)
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
+        dec = decompose(SX)
+        assert np.allclose(dec.values, [-1.0, 1.0])
         eye = np.eye(2)
         assert np.allclose(dec.projectors[0], (eye - SX) / 2, atol=1e-12)
         assert np.allclose(dec.projectors[1], (eye + SX) / 2, atol=1e-12)
 
     def test_identity_merges(self):
-        dec = hilbert.eig_hermitian(np.eye(4))
-        assert len(dec.eigenvalues) == 1
-        assert np.allclose(dec.eigenvalues, [1.0])
+        dec = decompose(np.eye(4))
+        assert len(dec.values) == 1
+        assert np.allclose(dec.values, [1.0])
         assert np.allclose(dec.projectors[0], np.eye(4))
 
     def test_merging_does_not_chain(self):
         # gaps of 0.9e-8 each fall under the 1e-8 merge tolerance, but the
         # whole spectrum spans 1.8e-6: levels pair up instead of collapsing
-        dec = hilbert.eig_hermitian(np.diag(np.arange(200) * 0.9e-8))
-        assert len(dec.eigenvalues) == 100
+        dec = decompose(np.diag(np.arange(200) * 0.9e-8))
+        assert len(dec.values) == 100
         assert dec.sizes.tolist() == [2] * 100
         for p in dec.projectors:
             w = np.diag(p).real > 0.5
@@ -45,15 +50,15 @@ class TestEigHermitian:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            hilbert.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_random_reconstruction(self, rng):
         for _ in range(200):
             d = int(rng.integers(2, 13))
             h = random_hermitian(rng, d)
-            dec = hilbert.eig_hermitian(h)
-            assert np.max(np.abs(dec.reconstruct() - h)) < 1e-8
-            assert np.max(np.abs(dec.resolution_sum() - np.eye(d))) < 1e-10
+            dec = decompose(h)
+            assert np.max(np.abs(variables.operator_of(dec) - h)) < 1e-8
+            assert np.max(np.abs(dec.spectral_sum(np.ones(len(dec.sizes))) - np.eye(d))) < 1e-10
             for i, p in enumerate(dec.projectors):
                 for j, q in enumerate(dec.projectors):
                     expect = p if i == j else 0.0
@@ -176,8 +181,8 @@ class TestPredicates:
 def test_eig_roundtrip_property(seed, d):
     g = np.random.default_rng(seed)
     h = random_hermitian(g, d)
-    dec = hilbert.eig_hermitian(h)
-    assert np.max(np.abs(dec.reconstruct() - h)) < 1e-8
+    dec = decompose(h)
+    assert np.max(np.abs(variables.operator_of(dec) - h)) < 1e-8
 
 
 class TestSerialization:

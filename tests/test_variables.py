@@ -67,7 +67,7 @@ class TestOperatorOf:
         v = variables.AccessibleVariable.from_operator(
             "x", np.diag([0.0, 0.9e-8, 1.05e-8]))
         assert v.values.tolist() == [0.0, 1.05e-8]
-        assert v.ranks().tolist() == [2, 1]
+        assert v.sizes.tolist() == [2, 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,7 +77,7 @@ def test_eig_levels_always_build_a_variable(gaps, offset):
     """Whatever eig_hermitian merges, its levels make a valid variable."""
     w = offset + np.cumsum([0.0] + gaps)
     v = variables.AccessibleVariable.from_operator("h", np.diag(w))
-    assert v.ranks().sum() == len(w)
+    assert v.sizes.sum() == len(w)
     assert (np.diff(v.values) > variables.VALUE_GAP_TOL).all()
 
 
@@ -94,7 +94,7 @@ class TestDerivedVariable:
             "z", spin.spin_operators(2).az)
         w = variables.derived_variable(v, lambda u: u * u)
         assert sorted(w.values.tolist()) == [0.0, 1.0]
-        ranks = dict(zip(w.values.tolist(), w.ranks().tolist()))
+        ranks = dict(zip(w.values.tolist(), w.sizes.tolist()))
         assert ranks[1.0] == 2 and ranks[0.0] == 1
 
     def test_constant_function(self):
@@ -138,7 +138,7 @@ def test_planted_degeneracy_property(seed, mults, levels):
     h = (u * np.repeat(levels, mults)) @ hilbert.dagger(u)
     v = variables.AccessibleVariable.from_operator("h", h)
     assert np.max(np.abs(v.values - levels)) < 1e-8
-    assert v.ranks().tolist() == mults
+    assert v.sizes.tolist() == mults
     assert np.max(np.abs(variables.operator_of(v) - h)) < 1e-8
     projs = v.projectors
     assert np.max(np.abs(sum(projs) - np.eye(d))) < 1e-10
@@ -149,7 +149,7 @@ def test_planted_degeneracy_property(seed, mults, levels):
     order = g.permutation(len(mults))
     w = variables.AccessibleVariable("w", v.values[order],
                                      tuple(projs[k] for k in order))
-    assert w.ranks().tolist() == [mults[k] for k in order]
+    assert w.sizes.tolist() == [mults[k] for k in order]
     assert "projectors" not in vars(w)  # the constructor's check caches nothing
     for k, p in zip(order, w.projectors):
         assert np.max(np.abs(p - projs[k])) < 1e-10
@@ -304,6 +304,6 @@ class TestSerialization:
         back = variables.variable_from_dict(variables.variable_to_dict(v))
         assert back.name == v.name
         assert np.allclose(back.values, v.values)
-        assert back.ranks().tolist() == v.ranks().tolist()
+        assert back.sizes.tolist() == v.sizes.tolist()
         for p, q in zip(back.projectors, v.projectors, strict=True):
             assert np.allclose(p, q)
