@@ -9,11 +9,9 @@ reaches 2*sqrt(2) in magnitude quantum mechanically.  The second is the
 four-treatment comparison where a Bayesian orthant calculation and a
 spin-1/2 transition probability answer the same question differently.
 
-Both walk the sub-streams of one seeded draw in lock-step, in blocks of
-at most 2^14 samples (see ``inference``), so the numbers are those of one
-whole-array draw and memory does not grow with the number of samples: a
-run keeps its counts, and a CHSH run's trials are drawn again from its
-seed whenever they are read.
+Both draw through ``inference.lockstep``, so memory does not grow with
+the number of samples: a run keeps its counts, and a CHSH run's trials are
+drawn again from its seed whenever they are read.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ from itertools import product
 import numpy as np
 
 from . import born, spin, variables
-from .errors import DomainError
-from .hilbert import RESIDUAL_TOL
-from .inference import require_count, require_finite, sample_blocks, sub_streams
+from .errors import BadDistribution, DimMismatch, DomainError
+from .hilbert import RESIDUAL_TOL, require
+from .inference import lockstep, require_count, require_finite
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
                              # closed-form orthant value is ~0.3918
@@ -39,9 +37,18 @@ PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
 SETTING_LABELS_A = ("a", "a'")
 SETTING_LABELS_B = ("b", "b'")
 
+# The setting pairs, Alice's setting major: settings (ia, ib), indices into
+# the labels above, are pair PAIRS[_pair_index(ia, ib)].
+PAIRS = tuple(product(SETTING_LABELS_A, SETTING_LABELS_B))
+
 # The CHSH sign pattern (Clauser, Horne, Shimony and Holt, 1969):
 # s = E(a,b) - E(a,b') + E(a',b) + E(a',b').
-CHSH_SIGNS = {("a", "b"): +1, ("a", "b'"): -1, ("a'", "b"): +1, ("a'", "b'"): +1}
+CHSH_SIGNS = dict(zip(PAIRS, (+1, -1, +1, +1)))
+
+
+def _pair_index(ia, ib):
+    """The index in PAIRS of the setting pair (ia, ib); uint8 stays uint8."""
+    return len(SETTING_LABELS_B) * ia + ib
 
 
 def chsh_statistic(correlations):
@@ -72,10 +79,8 @@ class ChshConfig:
         require_count(self.seed, 0, "seed must be non-negative")
 
     def angles(self):
-        return {("a", "b"): (self.a, self.b),
-                ("a", "b'"): (self.a, self.b_prime),
-                ("a'", "b"): (self.a_prime, self.b),
-                ("a'", "b'"): (self.a_prime, self.b_prime)}
+        """(angle a, angle b) of each setting pair, in the order of PAIRS."""
+        return dict(zip(PAIRS, product((self.a, self.a_prime), (self.b, self.b_prime))))
 
 
 @dataclass(frozen=True)
@@ -121,21 +126,19 @@ class ChshRun:
         with open(path, "w", newline="") as fh:
             fh.write("trial,setting_a,setting_b,outcome_a,outcome_b\r\n")
             for part, ia, ib, cell in self.trials():
-                code = 8 * ia + 4 * ib + cell
+                code = 4 * _pair_index(ia, ib) + cell
                 fh.write("".join([f"{t},{_TRIAL_ROWS[c]}"
                                   for t, c in enumerate(code.tolist(), part.start)]))
 
 
-# The row of a trial after its number, indexed by
-# 8 * setting_a + 4 * setting_b + cell.
-_TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la in SETTING_LABELS_A
-               for lb in SETTING_LABELS_B for oa in born.OUTCOMES for ob in born.OUTCOMES]
+# The row of a trial after its number, indexed by 4 * pair index + cell.
+_TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la, lb in PAIRS
+               for oa, ob in product(born.OUTCOMES, repeat=2)]
 
 
 # Outcome signs of a joint-law cell, OUTCOMES-major: cell 2i + j is
 # (OUTCOMES[i], OUTCOMES[j]).
-_CELL_A = np.repeat(np.array(born.OUTCOMES, dtype=np.int8), 2)
-_CELL_B = np.tile(np.array(born.OUTCOMES, dtype=np.int8), 2)
+_CELL_A, _CELL_B = np.array(list(product(born.OUTCOMES, repeat=2)), dtype=np.int8).T
 
 
 def _draw_settings(rng, m: int) -> np.ndarray:
@@ -148,19 +151,16 @@ def _trial_blocks(cfg: ChshConfig):
     """(slice, ia, ib, cell) for each block of the run's trials, in order:
     the uint8 settings and the joint-law cell of each trial (see
     ``chsh_simulate``)."""
-    n = cfg.n_trials
-    draw_a, draw_b, draw_u = sub_streams(cfg.seed, [n, n], _draw_settings)
     cdf = np.array([np.cumsum(born.singlet_joint(plane_direction(ang_a),
                                                  plane_direction(ang_b)).ravel())
                     for ang_a, ang_b in cfg.angles().values()])
-    for part in sample_blocks(n):
-        ia = _draw_settings(draw_a, part.stop - part.start)
-        ib = _draw_settings(draw_b, len(ia))
-        u = draw_u.random(len(ia))
-        pair_code = 2 * ia + ib
+    for part, (ia, ib, u) in lockstep(cfg.seed, cfg.n_trials,
+                                      [_draw_settings, _draw_settings,
+                                       np.random.Generator.random]):
+        pair = _pair_index(ia, ib)
         cell = np.zeros(len(u), dtype=np.uint8)
         for k in range(3):
-            cell += u >= np.take(cdf[:, k], pair_code)
+            cell += u >= np.take(cdf[:, k], pair)
         yield part, ia, ib, cell
 
 
@@ -178,17 +178,17 @@ def chsh_simulate(cfg: ChshConfig) -> ChshRun:
     so the count stops at 3).  Each correlation is (count - 2 neg) / count,
     where neg counts the pair's trials in the cells of opposite signs.
 
-    The draw is every ``ia``, then every ``ib``, then every uniform.  These
-    three sub-streams are walked in lock-step, one block at a time, and
-    only the 16 counts of setting pair and cell are kept.  Settings are
-    uint8, and every code below (at most 15) is uint8 arithmetic.
+    The draw is every ``ia``, then every ``ib``, then every uniform (see
+    ``inference.lockstep``), and only the 16 counts of setting pair and
+    cell are kept.  Settings are uint8, and every code (at most 15) is
+    uint8 arithmetic.
     """
     counts = np.zeros(16, dtype=np.int64)
     for _, ia, ib, cell in _trial_blocks(cfg):
-        counts += np.bincount(8 * ia + 4 * ib + cell, minlength=16)
+        counts += np.bincount(4 * _pair_index(ia, ib) + cell, minlength=16)
     correlations = {}
     for pair, (plus_plus, plus_minus, minus_plus, minus_minus) in zip(
-            cfg.angles(), counts.reshape(4, 4).tolist()):
+            PAIRS, counts.reshape(4, 4).tolist()):
         count = plus_plus + plus_minus + minus_plus + minus_minus
         if count > 0:
             correlations[pair] = ((count - 2 * (plus_minus + minus_plus)) / count, count)
@@ -212,7 +212,7 @@ def classical_statistic_values():
     for signs in product((+1, -1), repeat=4):
         outcome = dict(zip(SETTING_LABELS_A + SETTING_LABELS_B, signs))
         values.append(chsh_statistic({(la, lb): outcome[la] * outcome[lb]
-                                      for la, lb in CHSH_SIGNS}))
+                                      for la, lb in PAIRS}))
     return values
 
 
@@ -264,7 +264,7 @@ def chsh_quantum_max(resolution_deg: float = 1.0):
         near = {label: np.flatnonzero(_near_extremes(_terms(e, label)))
                 for label in SETTING_LABELS_B}
         pick = {"b": near["b"][:, None], "b'": near["b'"][None, :]}
-        s = chsh_statistic({(la, lb): e[la][pick[lb]] for la, lb in CHSH_SIGNS})
+        s = chsh_statistic({(la, lb): e[la][pick[lb]] for la, lb in PAIRS})
         jb, jbp = np.unravel_index(np.argmax(np.abs(s)), s.shape)
         return float(s[jb, jbp]), near["b"][jb], near["b'"][jbp]
 
@@ -283,7 +283,7 @@ def _terms(e: dict, label: str):
     """The terms of ``chsh_statistic`` that hold Bob's setting ``label``,
     summed as s sums them, with ``e`` giving E per Alice setting."""
     return chsh_statistic({(la, lb): e[la] if lb == label else 0.0
-                           for la, lb in CHSH_SIGNS})
+                           for la, lb in PAIRS})
 
 
 def _near_extremes(h: np.ndarray) -> np.ndarray:
@@ -305,6 +305,7 @@ PSI_MATRIX = [[Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
               [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)],
               [Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)],
               [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)]]
+_FLOAT_PSI = np.array(PSI_MATRIX, dtype=float)
 
 QUANTUM_DIRECTION_A = spin.unit([-1.0, -1.0, -1.0])
 QUANTUM_DIRECTION_B = spin.unit([-1.0, 1.0, 1.0])
@@ -326,20 +327,29 @@ def medical_contrasts():
     return cov, rho
 
 
+def _treatment_effects(mu) -> np.ndarray:
+    """``mu`` as a float array of four finite treatment effects."""
+    m = np.asarray(mu, dtype=float).reshape(-1)
+    if m.shape != (4,):
+        raise DimMismatch(f"expected 4 treatment effects, got {m.size}")
+    require_finite("treatment effects", *m.tolist())
+    return m
+
+
 def zeta_contrasts(mu) -> tuple:
-    m = np.asarray(mu, dtype=float)
+    m = _treatment_effects(mu)
     return float(_FLOAT_A @ m), float(_FLOAT_B @ m)
 
 
 def psi_transform(mu):
     """Apply the orthogonal half-coefficient transform; norm preserving."""
-    m = np.asarray(mu, dtype=float).reshape(4)
-    mat = np.array([[float(c) for c in row] for row in PSI_MATRIX])
-    return tuple(float(x) for x in mat @ m)
+    return tuple(float(x) for x in _FLOAT_PSI @ _treatment_effects(mu))
 
 
 def orthant_conditional(rho: float) -> float:
     """P(Y > 0 | X > 0) for a centered bivariate normal with correlation rho."""
+    if not -1.0 <= rho <= 1.0:  # False for NaN
+        raise DomainError(f"correlation rho must lie in [-1, 1], got {rho!r}")
     return 0.5 + np.arcsin(rho) / np.pi
 
 
@@ -358,22 +368,17 @@ def medical_bayes(n_samples: int, seed: int) -> MedicalBayes:
     bivariate-normal orthant value at the exact correlation -1/3.
 
     The draws come treatment by treatment, as the rows of one (4, n) draw
-    would.  The four rows are walked in lock-step, and each block's two
-    contrast sums are added row by row in that order, so the sums are
-    those of the whole draw; only the two counts outlive a block.
+    would (see ``inference.lockstep``), and each block's two contrast sums
+    are added row by row in that order, so the sums are those of the whole
+    draw; only the two counts outlive a block.
     """
     require_count(n_samples, 10_000, "need at least 10^4 samples")
     require_count(seed, 0, "seed must be non-negative")
-    rows = sub_streams(seed, [n_samples] * (len(_FLOAT_A) - 1),
-                       np.random.Generator.standard_normal)
     n_cond = hits = 0
-    for part in sample_blocks(n_samples):
-        za = np.zeros(part.stop - part.start)
-        zb = np.zeros(len(za))
-        for rng, coef_a, coef_b in zip(rows, _FLOAT_A, _FLOAT_B):
-            mu = rng.standard_normal(len(za))
-            za += coef_a * mu
-            zb += coef_b * mu
+    for _, rows in lockstep(seed, n_samples,
+                            [np.random.Generator.standard_normal] * len(_FLOAT_A)):
+        za = sum(coef * mu for coef, mu in zip(_FLOAT_A, rows))
+        zb = sum(coef * mu for coef, mu in zip(_FLOAT_B, rows))
         cond = za > 0
         n_cond += np.count_nonzero(cond)
         hits += np.count_nonzero(cond & (zb > 0))
@@ -417,7 +422,7 @@ def medical_report(n_samples: int, seed: int) -> MedicalResult:
     _, rho = medical_contrasts()
     bayes = medical_bayes(n_samples, seed)
     quantum_closed, quantum_abstract = medical_quantum()
-    if abs(quantum_closed - quantum_abstract) > RESIDUAL_TOL:
-        raise AssertionError("closed-form and abstract routes disagree")
+    require(abs(quantum_closed - quantum_abstract), RESIDUAL_TOL, BadDistribution,
+            "|closed-form - abstract transition probability|")
     return MedicalResult(float(rho), bayes.closed_form, bayes.mc_estimate,
                          bayes.mc_se, quantum_closed, PAPER_REPORTED_BAYES)

@@ -24,18 +24,21 @@ from . import hilbert
 from .errors import BadGroupData, NotPermissible, NotPermutation, SpaceMismatch
 
 
-def _index_table(table, what: str) -> np.ndarray:
-    """``table`` as an int array; float entries must be integral and fit in int64."""
+def _index_table(table, what: str, size: int = None) -> np.ndarray:
+    """``table`` as an int array; float entries must be integral and fit in
+    int64, and given ``size``, every entry must lie in 0..size-1."""
     try:
         a = np.asarray(table)
     except ValueError as exc:  # ragged nested lists
         raise BadGroupData(f"{what} must be a rectangular array") from exc
     # |x| < 2**63 is False for NaN and inf
-    if a.dtype.kind == "f" and (abs(a) < 2.0**63).all() and (a == np.round(a)).all():
-        return a.astype(int)
-    if a.dtype.kind not in "iu" and a.size:
+    integral = a.dtype.kind == "f" and (abs(a) < 2.0**63).all() and (a == np.round(a)).all()
+    if not integral and a.dtype.kind not in "iu" and a.size:
         raise BadGroupData(f"{what} entries must be integers")
-    return a.astype(int, copy=False)
+    a = a.astype(int, copy=False)
+    if size is not None and ((a < 0) | (a >= size)).any():
+        raise BadGroupData(f"{what} must be indices in 0..{size - 1}")
+    return a
 
 
 def _generating_set(t: np.ndarray, e: int) -> np.ndarray:
@@ -313,8 +316,10 @@ def maximal_permissible_subgroup(theta: VariableMap, action: GroupAction) -> Fin
 
 def restrict_action(action: GroupAction, subgroup: FiniteGroup) -> GroupAction:
     """Action of a labeled subgroup (as built above) on the same space."""
-    return GroupAction(subgroup, action.space,
-                       action.table[np.asarray(subgroup.labels, dtype=int)])
+    if subgroup.labels is None:
+        raise BadGroupData("the subgroup needs labels: its elements' indices in the group")
+    rows = _index_table(subgroup.labels, "subgroup labels", action.group.order)
+    return GroupAction(subgroup, action.space, action.table[rows])
 
 
 @dataclass(frozen=True)
@@ -349,7 +354,8 @@ class InvariantMeasure:
     weights: np.ndarray
 
     def mass(self, points) -> float:
-        return float(np.sum(self.weights[list(points)]))
+        idx = _index_table(list(points), "points", len(self.weights))
+        return float(np.sum(self.weights[idx]))
 
 
 def invariant_measure(action: GroupAction, orbit_mass=None,
@@ -361,11 +367,13 @@ def invariant_measure(action: GroupAction, orbit_mass=None,
     """
     part = orbits(action)
     k = len(part.blocks)
-    if orbit_mass is None:
-        orbit_mass = [1.0] * k
-    if len(orbit_mass) != k:
-        raise BadGroupData(f"expected {k} orbit masses, got {len(orbit_mass)}")
-    if not all(0 <= m < np.inf for m in orbit_mass):  # False for NaN
+    try:
+        orbit_mass = np.asarray(np.ones(k) if orbit_mass is None else orbit_mass, float)
+    except (TypeError, ValueError):
+        raise BadGroupData("orbit masses must be real numbers") from None
+    if orbit_mass.shape != (k,):
+        raise BadGroupData(f"expected {k} orbit masses, got {orbit_mass.size}")
+    if not ((0 <= orbit_mass) & (orbit_mass < np.inf)).all():  # False for NaN
         raise BadGroupData("orbit masses must be finite and nonnegative")
     w = np.zeros(len(action.space))
     for block, mass in zip(part.blocks, orbit_mass):

@@ -4,14 +4,9 @@ experiment where credibility and coverage coincide.
 
 All Monte Carlo runs are driven by an explicit seed and generate their
 draws in a fixed canonical order, so a repeated run is bit-identical.
-A run's draw is a sequence of consecutive sub-streams of one seeded
-generator, such as all n data draws and then all n posterior draws.
-``sub_streams`` finds the start of each sub-stream by drawing and
-discarding the earlier ones once, and the run then walks its sub-streams
-in lock-step, at most 2^14 samples of each at a time.  The numbers are
-those of one whole-array draw, and a run keeps a few blocks and its
-counts, so its memory does not grow with n: a run is its seed plus its
-counts.  ``p_value_one_sided`` keeps a count too; only ``mse_decompose``
+A run that draws n values of several sub-streams walks them with
+``lockstep``, so a run is its seed plus its counts.  A replicate loop
+keeps one replicate's data at a time and a count; only ``mse_decompose``
 keeps 8 B per replicate, as running sums would move the last bits of its
 moments.
 """
@@ -35,29 +30,29 @@ from .errors import (BadDistribution, DimMismatch, DomainError, NotFinite, NotIn
 _BLOCK = 2**14
 
 
-def sample_blocks(n: int) -> list:
-    """Slices cutting range(n) into consecutive blocks of at most 2^14."""
-    return [slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+def lockstep(seed: int, n: int, draws):
+    """Yield (slice, values) for each consecutive block of at most 2^14 of
+    range(n), ``values[i]`` holding the block's part of sub-stream i.
 
-
-def sub_streams(seed: int, lengths, draw) -> list:
-    """A generator at the start of each consecutive sub-stream of the draw
-    seeded by ``seed``: one more than ``lengths``, which holds the length of
-    every sub-stream but the last.
-
-    ``draw(rng, m)`` draws m values of the earlier sub-streams.  Each is
-    drawn and discarded once, one block at a time, and the generator copied
-    at its end; the copy keeps the spare 32-bit half that ``integers``
-    buffers, so drawing from the returned generators block by block gives
-    the numbers of one whole-array draw.
+    The draw seeded by ``seed`` is one sub-stream of n values per function
+    in ``draws``, in order, and ``draws[i](rng, m)`` draws m values of
+    sub-stream i.  Each later sub-stream's start is found once, by drawing
+    and discarding the ones before it a block at a time and copying the
+    generator there; the copy keeps the spare 32-bit half that
+    ``integers`` buffers.  So the values are those of one whole-array
+    draw, and a walk holds one block of each sub-stream, whatever n.
     """
+    parts = [slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
     rng = np.random.default_rng(seed)
     starts = []
-    for length in lengths:
+    for draw in draws[:-1]:
         starts.append(copy.deepcopy(rng))
-        for part in sample_blocks(length):
+        for part in parts:
             draw(rng, part.stop - part.start)
-    return starts + [rng]
+    starts.append(rng)
+    for part in parts:
+        m = part.stop - part.start
+        yield part, [draw(start, m) for draw, start in zip(draws, starts)]
 
 
 def require_count(value, low: int, message: str) -> None:
@@ -165,6 +160,8 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
         lik = np.array([float(likelihood(v)) for v in prior.values])
     else:
         lik = np.asarray(likelihood, dtype=float).reshape(-1)
+    if lik.shape != prior.weights.shape:
+        raise DimMismatch(f"{lik.size} likelihoods for {prior.weights.size} parameter values")
     w = prior.weights * lik
     total = w.sum()
     if total <= 0.0:
@@ -209,8 +206,9 @@ def credibility_interval(posterior, level: float) -> IntervalEstimate:
         order = np.argsort(posterior.values)
         vals = posterior.values[order]
         cum = np.cumsum(posterior.weights[order])
-        lo = vals[np.searchsorted(cum, alpha / 2.0)]
-        hi = vals[np.searchsorted(cum, 1.0 - alpha / 2.0)]
+        # a tail past the last cumulative weight ends at the last value
+        lo, hi = vals[np.minimum(np.searchsorted(cum, [alpha / 2.0, 1.0 - alpha / 2.0]),
+                                 len(vals) - 1)]
     else:
         samples = np.asarray(posterior, dtype=float).reshape(-1)
         if samples.size == 0:
@@ -227,14 +225,12 @@ def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
     ``rule(data)`` returns an IntervalEstimate or a (lower, upper) pair.
     Keeps one replicate's data at a time and a count, nothing per replicate.
     """
-    rng = spec.rng()
-    hits = 0
-    for _ in range(spec.n):
-        iv = rule(sampler(rng, spec.theta))
+    def covers(data) -> bool:
+        iv = rule(data)
         lo, hi = (iv.lower, iv.upper) if isinstance(iv, IntervalEstimate) else iv
-        if lo <= spec.theta <= hi:
-            hits += 1
-    return hits / spec.n
+        return lo <= spec.theta <= hi
+
+    return sum(_replicate_estimates(covers, sampler, spec)) / spec.n
 
 
 def p_value_one_sided(sampler, estimator, observed: float, spec: SimulationSpec) -> float:
@@ -272,20 +268,17 @@ def prop2_experiment(c1: float, c2: float, spec: SimulationSpec) -> EquivalenceR
     Under the flat (invariant) prior the posterior is N(x, 1), so the
     interval's posterior mass and its frequentist coverage are both
     Phi(-c1) - Phi(-c2).  Both sides are estimated by Monte Carlo: one
-    data draw and one posterior draw per replicate, in canonical order,
-    all n data draws first.  The two sub-streams are walked in lock-step,
-    one block at a time, keeping only the two hit counts.
+    data draw and one posterior draw per replicate, all n data draws
+    first (see ``lockstep``), keeping only the two hit counts.
     """
     require_finite("c1 and c2", c1, c2)
     if c1 >= c2:
         raise DomainError("need c1 < c2")
     theta, n = spec.theta, spec.n
-    data, posterior = sub_streams(spec.seed, [n], np.random.Generator.standard_normal)
     cred_hits = cov_hits = 0
-    for part in sample_blocks(n):
-        xb = data.standard_normal(part.stop - part.start)
+    for _, (xb, theta_post) in lockstep(spec.seed, n,
+                                        [np.random.Generator.standard_normal] * 2):
         xb += theta
-        theta_post = posterior.standard_normal(len(xb))
         theta_post += xb
         cred_hits += np.count_nonzero((xb + c1 <= theta_post) & (theta_post <= xb + c2))
         cov_hits += np.count_nonzero((xb + c1 <= theta) & (theta <= xb + c2))

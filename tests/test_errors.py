@@ -1,8 +1,10 @@
 """Every contract check of the library raises a ``DomainError``, which is a
-``ValueError``; ``tests/test_groups.py`` covers the checks in ``groups``."""
+``ValueError``; ``tests/test_groups.py`` covers the table checks in ``groups``."""
 
+import ast
 import inspect
 import math
+import pathlib
 from types import FunctionType
 
 import numpy as np
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 
 import avq
 from avq import born, experiments, groups, hilbert, inference, measurement, spin, variables
-from avq.errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotFinite,
-                        NotHermitian, NotInteger, NotProjector, NotUnitary)
+from avq.errors import (BadDistribution, BadGroupData, BadShape, DimMismatch, DomainError,
+                        NotFinite, NotHermitian, NotInteger, NotProjector, NotUnitary)
 
 EYE2 = np.eye(2, dtype=complex)
 # a projector family that is not orthogonal: diag(1, 0) and |+><+|
@@ -29,6 +31,15 @@ def which_path():
 def spin_z():
     """The maximal variable of the spin-1/2 z component."""
     return variables.AccessibleVariable.from_operator("z", spin.component_operator(1, [0, 0, 1]))
+
+
+def prior3():
+    return inference.DiscretePrior([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+
+
+# the cyclic group of order 3 rotating three points
+ROTATION = groups.GroupAction(groups.FiniteGroup.cyclic(3), ("x", "y", "z"),
+                              [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -122,6 +133,25 @@ def spin_z():
      NotFinite, "observed"),
     (lambda: spin.rotation(1, [0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
     (lambda: spin.rotation_matrix([0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
+    # a likelihood per parameter value: one does not broadcast
+    (lambda: inference.bayes_posterior(prior3(), [0.5]), DimMismatch,
+     "1 likelihoods for 3 parameter values"),
+    (lambda: inference.bayes_posterior(prior3(), [0.5, 0.5]), DimMismatch,
+     "2 likelihoods for 3"),
+    # a subgroup names its elements by their indices in the acting group
+    (lambda: groups.restrict_action(ROTATION, groups.FiniteGroup.cyclic(2)), BadGroupData,
+     "needs labels"),
+    (lambda: groups.restrict_action(
+        ROTATION, groups.FiniteGroup(groups.FiniteGroup.cyclic(2).cayley, labels=(0, 5))),
+     BadGroupData, "subgroup labels must be indices in 0..2"),
+    (lambda: groups.invariant_measure(ROTATION, ["a", "b"]), BadGroupData, "real numbers"),
+    (lambda: groups.invariant_measure(ROTATION).mass([7]), BadGroupData,
+     "points must be indices in 0..2"),
+    # four finite treatment effects and a correlation in [-1, 1]
+    (lambda: experiments.zeta_contrasts([1, 2, 3]), DimMismatch, "4 treatment effects"),
+    (lambda: experiments.psi_transform([1, 2, 3]), DimMismatch, "4 treatment effects"),
+    (lambda: experiments.zeta_contrasts([1, 2, 3, np.nan]), NotFinite, "treatment effects"),
+    (lambda: experiments.orthant_conditional(2.0), DomainError, "rho must lie in"),
 ])
 def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:
@@ -149,6 +179,28 @@ def test_a_failed_residual_check_carries_its_residual(build, error, message, res
     assert type(exc) is error and str(exc) == message
     assert type(exc.residual) is float and exc.tol == tol
     assert exc.residual == residual or (math.isnan(residual) and math.isnan(exc.residual))
+
+
+def test_medical_report_cross_check_carries_its_residual(monkeypatch):
+    monkeypatch.setattr(experiments, "medical_quantum", lambda: (0.25, 0.5))
+    with pytest.raises(BadDistribution) as info:
+        experiments.medical_report(10**4, 1)
+    exc = info.value
+    assert str(exc) == "|closed-form - abstract transition probability| = 0.25 > 1e-10"
+    assert (exc.residual, exc.tol) == (0.25, hilbert.RESIDUAL_TOL)
+
+
+def test_the_library_neither_asserts_nor_raises_assertion_error():
+    """A failed check is a DomainError: no ``assert`` (which ``python -O``
+    also strips) and no ``raise AssertionError`` anywhere in avq."""
+    offenders = []
+    for path in sorted(pathlib.Path(avq.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Raise) and node.exc is not None
+                    and "AssertionError" in ast.unparse(node.exc)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def public_callables():

@@ -514,20 +514,29 @@ def draw_settings(rng, m):
     return rng.integers(0, 2, size=m)
 
 
-class TestSubStreams:
+class TestLockstep:
     @pytest.mark.parametrize("n", [1, 3, 17] + BLOCK_SIZES)
     @pytest.mark.parametrize("draw", [draw_settings, np.random.Generator.standard_normal])
     def test_lock_step_blocks_match_one_whole_draw(self, n, draw):
         # odd n starts the second sub-stream of settings in the middle of a
         # 64-bit draw, whose spare half the copied generator must keep
-        streams = inference.sub_streams(23, [n, n], draw)
-        assert len(streams) == 3
-        drawn = [[] for _ in streams]
-        for part in inference.sample_blocks(n):
-            for blocks, rng in zip(drawn, streams):
-                blocks.append(draw(rng, part.stop - part.start))
-        got = np.concatenate([np.concatenate(blocks) for blocks in drawn])
+        walk = list(inference.lockstep(23, n, [draw] * 3))
+        assert [part for part, _ in walk] == [slice(i, min(i + BLOCK, n))
+                                              for i in range(0, n, BLOCK)]
+        assert all(len(values) == 3 for _, values in walk)
+        got = np.concatenate([values[i] for i in range(3) for _, values in walk])
         assert np.array_equal(got, draw(np.random.default_rng(23), 3 * n))
+
+    @pytest.mark.parametrize("n", [3, BLOCK + 1])
+    def test_each_sub_stream_is_skipped_with_its_own_draw(self, n):
+        # normal draws leave the spare 32-bit half of the settings before
+        # them for the settings after them
+        draws = [draw_settings, np.random.Generator.standard_normal, draw_settings]
+        rng = np.random.default_rng(5)
+        want = [draw(rng, n) for draw in draws]
+        walk = list(inference.lockstep(5, n, draws))
+        for i, whole in enumerate(want):
+            assert np.array_equal(np.concatenate([values[i] for _, values in walk]), whole)
 
 
 MILLION_CFG = experiments.ChshConfig(*np.deg2rad([0.0, 90.0, 45.0, 135.0]), 10**6, 42)

@@ -142,6 +142,16 @@ class TestCredibilityInterval:
         with pytest.raises(ValueError):
             inference.credibility_interval(np.zeros(10), 1.5)
 
+    @pytest.mark.parametrize("weights, level", [
+        ([0.1] * 10, 1.0 - 2.0**-53),  # the weights sum to 1 - 2^-53
+        ([0.5, 0.5 - 5e-11], 1.0 - 1e-11),
+    ])
+    def test_a_tail_past_the_last_cumulative_weight_ends_at_the_last_value(self, weights,
+                                                                          level):
+        values = np.arange(len(weights), dtype=float)
+        iv = inference.credibility_interval(inference.DiscretePrior(values, weights), level)
+        assert (iv.lower, iv.upper, iv.level) == (0.0, values[-1], level)
+
     def test_unbounded_endpoints_are_allowed(self):
         iv = inference.IntervalEstimate(-np.inf, np.inf, 0.5)
         assert (iv.lower, iv.upper) == (-np.inf, np.inf)
