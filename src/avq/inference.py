@@ -162,6 +162,10 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
         lik = np.asarray(likelihood, dtype=float).reshape(-1)
     if lik.shape != prior.weights.shape:
         raise DimMismatch(f"{lik.size} likelihoods for {prior.weights.size} parameter values")
+    if not np.isfinite(lik).all():
+        raise NotFinite(f"likelihood {lik} is not finite")
+    if np.any(lik < 0):
+        raise BadDistribution(f"likelihood {lik} must be nonnegative")
     w = prior.weights * lik
     total = w.sum()
     if total <= 0.0:
@@ -176,10 +180,15 @@ def posterior_mean(posterior: DiscretePrior) -> float:
 def _replicate_estimates(estimator, sampler, spec: SimulationSpec):
     """Yield estimator(sampler(rng, theta)) as a float for each of the
     spec's n replicates, drawn in order from one generator seeded by the
-    spec, keeping one replicate's data at a time."""
+    spec, keeping one replicate's data at a time.  The caller checks the
+    estimates: they come from the caller's functions."""
     rng = spec.rng()
     for _ in range(spec.n):
         yield float(estimator(sampler(rng, spec.theta)))
+
+
+def _not_finite(estimate) -> NotFinite:
+    return NotFinite(f"the estimator returned {estimate}, not a finite estimate")
 
 
 def mse_decompose(estimator, sampler, spec: SimulationSpec):
@@ -190,8 +199,10 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
     exactly on the same-sample moments.  Keeps the estimates, 8 B per
     replicate, and one replicate's data at a time.
     """
-    err = np.fromiter(_replicate_estimates(estimator, sampler, spec), float,
-                      spec.n) - spec.theta
+    est = np.fromiter(_replicate_estimates(estimator, sampler, spec), float, spec.n)
+    if not np.isfinite(est).all():
+        raise _not_finite(est[~np.isfinite(est)][0])
+    err = est - spec.theta
     mse = float(np.mean(err ** 2))
     bias_sq = float(np.mean(err)) ** 2
     return mse, mse - bias_sq, bias_sq
@@ -222,12 +233,15 @@ def credibility_interval(posterior, level: float) -> IntervalEstimate:
 def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
     """Fraction of replicates whose interval covers the true parameter.
 
-    ``rule(data)`` returns an IntervalEstimate or a (lower, upper) pair.
-    Keeps one replicate's data at a time and a count, nothing per replicate.
+    ``rule(data)`` returns an IntervalEstimate or a (lower, upper) pair,
+    lower <= upper, either end possibly infinite.  Keeps one replicate's
+    data at a time and a count, nothing per replicate.
     """
     def covers(data) -> bool:
         iv = rule(data)
         lo, hi = (iv.lower, iv.upper) if isinstance(iv, IntervalEstimate) else iv
+        if not lo <= hi:  # NaN fails too
+            raise DomainError(f"the rule returned ({lo}, {hi}), not an interval")
         return lo <= spec.theta <= hi
 
     return sum(_replicate_estimates(covers, sampler, spec)) / spec.n
@@ -244,7 +258,11 @@ def p_value_one_sided(sampler, estimator, observed: float, spec: SimulationSpec)
     if observed == np.inf:
         return 0.0
     require_finite("observed", observed)
-    above = sum(est > observed for est in _replicate_estimates(estimator, sampler, spec))
+    above = 0
+    for est in _replicate_estimates(estimator, sampler, spec):
+        if not math.isfinite(est):
+            raise _not_finite(est)
+        above += est > observed
     return above / spec.n
 
 

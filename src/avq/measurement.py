@@ -3,7 +3,9 @@ construction, evidence functionals, and Kraus updates.
 
 A POVM's effects and an instrument's Kraus operators are each held as one
 (n, d, d) complex stack, so building, checking and applying a family is a
-few batched numpy calls rather than one call per operator.
+few batched numpy calls rather than one call per operator.  An instrument
+also holds its effects A_j^dag A_j, which its completeness check computes,
+and its branch probabilities and updates read them.
 
 A statistical model here is a finite likelihood table p(x | value); its
 likelihood effect for an observed x combines the table with a variable's
@@ -15,7 +17,7 @@ from checked inputs and returned without a second check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,22 +146,30 @@ def evidence(sigma) -> Evidence:
 
 @dataclass(frozen=True)
 class KrausInstrument:
-    """Kraus operators as one (n, d, d) stack with sum_j A_j^dag A_j = I."""
+    """Kraus operators as one (n, d, d) stack with sum_j A_j^dag A_j = I,
+    and the stack of their effects A_j^dag A_j.  Both are read-only, and
+    the instrument holds its own copy of the operators, so its effects
+    always are those of its operators."""
 
     kraus: np.ndarray
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = hilbert.as_operator_stack(self.kraus, "Kraus operator")
+        if ops is self.kraus:  # the caller's own array
+            ops = ops.copy(order="K")
+        effects = hilbert.dagger(ops) @ ops
+        for a in (ops, effects):
+            a.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
-        total = (hilbert.dagger(ops) @ ops).sum(0)
-        hilbert.require(np.abs(total - hilbert.identity(ops.shape[1])).max(),
+        object.__setattr__(self, "effects", effects)
+        hilbert.require(np.abs(effects.sum(0) - hilbert.identity(ops.shape[1])).max(),
                         RESIDUAL_TOL, BadDistribution, "max |sum of A_j^dag A_j - I|")
 
 
 def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
     """p_j = trace(A_j^dag A_j sigma) for every branch at once."""
-    return born.probabilities(hilbert.require_density(sigma),
-                              hilbert.dagger(k.kraus) @ k.kraus)
+    return born.probabilities(hilbert.require_density(sigma), k.effects)
 
 
 def kraus_update(k: KrausInstrument, sigma, j: int):
@@ -169,24 +179,32 @@ def kraus_update(k: KrausInstrument, sigma, j: int):
     eigenvalue of -1e-11 at p_j = 0.01 can become -1e-9), so a second
     update, which checks sigma_j as its input, may reject it."""
     require_index(j, len(k.kraus), "branch j")
-    sm = hilbert.require_density(sigma)
-    a = k.kraus[j]
-    p = float(born.probabilities(sm, (hilbert.dagger(a) @ a)[None])[0])
+    return _update(k, hilbert.require_density(sigma), j)
+
+
+def _update(k: KrausInstrument, sigma: np.ndarray, j: int):
+    """``kraus_update`` on a density sigma avq has checked or built."""
+    p = float(born.probabilities(sigma, k.effects[j:j + 1])[0])
     if p <= ZERO_BRANCH_TOL:
         raise ZeroProbabilityBranch(p)
-    post = a @ sm @ hilbert.dagger(a) / p
+    a = k.kraus[j]
+    post = a @ sigma @ hilbert.dagger(a) / p
     return p, (post + hilbert.dagger(post)) / 2.0  # strip roundoff asymmetry
 
 
 def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
     """Posterior from a diagonal instrument vs the Bayes posterior with
     likelihood |A(j, n)|^2; returns both for comparison."""
-    off_diagonal = k.kraus[:, ~np.eye(k.kraus.shape[1], dtype=bool)]
+    n, d = k.kraus.shape[:2]
+    # each flattened A minus its first entry is d - 1 rows of d + 1 entries,
+    # the last entry of a row on the diagonal and the others off it
+    off_diagonal = k.kraus.reshape(n, -1)[:, 1:].reshape(n, d - 1, d + 1)[..., :d]
     if np.abs(off_diagonal).max(initial=0.0) > RESIDUAL_TOL:
         raise NotDiagonal("every Kraus operator must be diagonal")
     w = require_probabilities(prior, "prior weights")
-    sigma = np.diag(w).astype(complex)
-    p, post = kraus_update(k, sigma, j)
+    require_index(j, n, "branch j")
+    # diag(w) of a checked probability vector is a density: no second check
+    p, post = _update(k, np.diag(w).astype(complex), j)
     kraus_posterior = np.real(np.diag(post))
     lik = np.abs(np.diagonal(k.kraus[j])) ** 2
     bayes_posterior = w * lik / np.sum(w * lik)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -78,15 +78,14 @@ class SpinOperators:
     def casimir(self) -> np.ndarray:
         return self.ax @ self.ax + self.ay @ self.ay + self.az @ self.az
 
-    def along(self, a) -> np.ndarray:
-        n = as_direction(a)
-        return n[0] * self.ax + n[1] * self.ay + n[2] * self.az
 
-
-# Ladders below this dimension are built once and kept: callers with many
-# small cases pay mostly for building them, while a large ladder costs
-# memory to keep and little time to rebuild next to the eigendecompositions
-# done with it.  The cache holds at most 16 ladders, about 0.12 MB.
+# Ladders below this dimension are built once and kept for
+# ``spin_operators``, whose callers (the algebra self-check and the demos)
+# ask for small spins again and again; a large one is rebuilt on each call.
+# The cache holds at most 16 ladders, about 0.12 MB.  Spin components do not
+# read the ladders: building five dense d x d ladders to fill three
+# diagonals took 0.5 ms at d = 96, against 0.86 ms for the eigh done with
+# the component, so ``component_operator`` fills them from ``_bands``.
 CACHED_DIM = 16
 
 
@@ -101,17 +100,11 @@ def spin_operators(two_r: int) -> SpinOperators:
 
 
 def _ladder(two_r: int) -> SpinOperators:
-    r = two_r / 2.0
-    m = r - np.arange(two_r + 1)
-    az = np.diag(m).astype(complex)
-    # raising: |r;m> -> sqrt(r(r+1) - m(m+1)) |r;m+1>; m+1 sits one row up
-    plus = np.diag(np.sqrt(r * (r + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
-    minus = hilbert.dagger(plus)
-    ax = (plus + minus) / 2.0
-    ay = (plus - minus) / 2.0j
-    for a in (ax, ay, az, plus, minus):
+    *bands, where = _bands(two_r)
+    ops = [b[where] for b in bands]
+    for a in ops:
         a.setflags(write=False)
-    return SpinOperators(two_r, ax, ay, az, plus, minus)
+    return SpinOperators(two_r, *ops)
 
 
 _cached_ladder = cache(_ladder)
@@ -120,9 +113,7 @@ _cached_ladder = cache(_ladder)
 def rotation(two_r: int, n, omega: float) -> np.ndarray:
     """exp[i omega (n . A)]: rotation by omega about the unit axis n."""
     require_finite("omega", omega)
-    ops = spin_operators(two_r)
-    h = ops.along(n)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(component_operator(two_r, n))
     return (v * np.exp(1j * omega * w)) @ hilbert.dagger(v)
 
 
@@ -162,9 +153,43 @@ def rotation_matrix(n, omega: float) -> np.ndarray:
     return np.eye(3) + np.sin(omega) * k + (1.0 - np.cos(omega)) * (k @ k)
 
 
+@lru_cache(maxsize=64)
+def _bands(two_r: int) -> tuple:
+    """(ax, ay, az, plus, minus, where): the diagonal, superdiagonal and
+    subdiagonal entries of A_x, A_y, A_z, A_+ and A_-, each followed by
+    their one off-band entry, as read-only complex vectors of length
+    3d - 1, and the (d, d) index of each matrix entry in them.  An entry
+    of a sum of these operators computed on the vectors has the bits of
+    the same entry of the dense sum, signed zeros included.  About 0.1 MB
+    at 2r = 100."""
+    d = two_r + 1
+    r = two_r / 2.0
+    m = r - np.arange(d)
+    # raising: |r;m> -> sqrt(r(r+1) - m(m+1)) |r;m+1>; m+1 sits one row up
+    c = np.sqrt(r * (r + 1) - m[1:] * (m[1:] + 1))
+    diag, band = np.zeros(d), np.zeros(d - 1)
+    plus = np.concatenate([diag, c, band, [0.0]]).astype(complex)
+    minus = np.conj(np.concatenate([diag, band, c, [0.0]]).astype(complex))
+    az = np.concatenate([m, band, band, [0.0]]).astype(complex)
+    where = np.full(d * d, 3 * d - 2)
+    where[np.r_[0:d * d:d + 1, 1:d * d:d + 1, d:d * d:d + 1]] = np.arange(3 * d - 2)
+    bands = ((plus + minus) / 2.0, (plus - minus) / 2.0j, az, plus, minus,
+             where.reshape(d, d))
+    for b in bands:
+        b.setflags(write=False)
+    return bands
+
+
 def component_operator(two_r: int, a) -> np.ndarray:
-    """Spin component along the unit direction a; spectrum -r..+r."""
-    return spin_operators(two_r).along(a)
+    """Spin component n . A along the unit direction a; spectrum -r..+r.
+
+    n . A is tridiagonal: it is filled from its three diagonals and one
+    off-band entry, O(d) arithmetic, with the bits of the dense sum
+    n0 A_x + n1 A_y + n2 A_z."""
+    two_r = _whole(two_r, "two_r")
+    n = as_direction(a)
+    ax, ay, az, _, _, where = _bands(two_r)
+    return (n[0] * ax + n[1] * ay + n[2] * az)[where]
 
 
 def coherent_states(two_r: int, dirs) -> np.ndarray:
@@ -207,12 +232,28 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(lead) / np.abs(lead))
 
 
+@lru_cache(maxsize=8)
+def _sphere_quadrature(order: int) -> tuple:
+    """(directions, weights) of the product quadrature on the sphere:
+    Gauss-Legendre in cos(theta), uniform azimuth (trapezoid, exact for
+    the trigonometric polynomials involved).  They depend on the order
+    alone, so they are computed once per order; read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    phis = 2.0 * np.pi * np.arange(order) / order
+    c, phi = np.repeat(nodes, order), np.tile(phis, order)
+    s = np.sqrt(1.0 - c * c)
+    quadrature = (np.stack([s * np.cos(phi), s * np.sin(phi), c], 1),
+                  np.repeat(weights, order) * (2.0 * np.pi / order))
+    for a in quadrature:
+        a.setflags(write=False)
+    return quadrature
+
+
 def resolution_deviation(two_r: int, order: int) -> float:
     """Max-norm deviation of (d/4pi) * integral |a><a| dOmega from I.
 
-    Product quadrature: Gauss-Legendre in cos(theta), uniform azimuth
-    (trapezoid, exact for the trigonometric polynomials involved); all
-    order^2 nodes enter one product A^T diag(w) conj(A).
+    All order^2 nodes of ``_sphere_quadrature`` enter one product
+    A^T diag(w) conj(A).
     """
     two_r, order = _whole(two_r, "two_r"), _whole(order, "order")
     d = two_r + 1
@@ -220,13 +261,9 @@ def resolution_deviation(two_r: int, order: int) -> float:
         return 0.0
     if order < two_r + 2:
         raise DomainError(f"quadrature order {order} < 2r+2 = {two_r + 2}")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    phis = 2.0 * np.pi * np.arange(order) / order
-    c, phi = np.repeat(nodes, order), np.tile(phis, order)
-    s = np.sqrt(1.0 - c * c)
-    amps = coherent_states(two_r, np.stack([s * np.cos(phi), s * np.sin(phi), c], 1))
-    w = np.repeat(weights, order) * (2.0 * np.pi / order) * d / (4.0 * np.pi)
-    acc = (amps.T * w) @ amps.conj()
+    directions, weights = _sphere_quadrature(order)
+    amps = coherent_states(two_r, directions)
+    acc = (amps.T * (weights * d / (4.0 * np.pi))) @ amps.conj()
     return float(np.max(np.abs(acc - np.eye(d))))
 
 

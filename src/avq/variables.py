@@ -125,23 +125,36 @@ def operator_of(v: AccessibleVariable) -> np.ndarray:
     return v.spectral_sum(v.values)
 
 
+def _columns(v: AccessibleVariable, order) -> np.ndarray:
+    """The indices of the basis columns of v's groups, in ``order``."""
+    sizes = v.sizes[order]
+    starts = (np.cumsum(v.sizes) - v.sizes)[order]
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
 def derived_variable(v: AccessibleVariable, t, name=None) -> AccessibleVariable:
-    """The variable t(v): image values with fibers' eigenspaces merged."""
-    new_values, fibers = [], []
-    for j, u in enumerate(v.values):
-        img = float(t(u))
-        for k, w in enumerate(new_values):
-            if abs(img - w) <= VALUE_GAP_TOL:
-                fibers[k].append(j)
-                break
-        else:
-            new_values.append(img)
-            fibers.append([j])
-    blocks = v.blocks()
-    basis = np.hstack([blocks[j] for fiber in fibers for j in fiber])
-    sizes = [v.sizes[fiber].sum() for fiber in fibers]
+    """The variable t(v): image values with fibers' eigenspaces merged.
+
+    In value order, an image joins the fiber of the first earlier fiber
+    value within VALUE_GAP_TOL of it, or else starts a fiber with its value.
+    """
+    images = np.array([float(t(u)) for u in v.values])
+    k = len(images)
+    # near[j, i]: image i comes before image j and lies within the gap of it
+    near = np.abs(images[:, None] - images) <= VALUE_GAP_TOL
+    near &= np.tri(k, k, -1, dtype=bool)
+    # starts[j]: image j starts a fiber.  Each round settles at least the
+    # first open image, and all of them unless near images form a chain.
+    starts, open_ = np.zeros(k, dtype=bool), np.ones(k, dtype=bool)
+    while open_.any():
+        starts |= open_ & ~(near & (starts | open_)).any(axis=1)
+        open_ &= ~starts & ~(near & starts).any(axis=1)
+    head = ((near | np.eye(k, dtype=bool)) & starts).argmax(axis=1)
+    order = np.argsort(head, kind="stable")
+    sizes = np.bincount(np.cumsum(starts)[head] - 1, weights=v.sizes).astype(int)
     # the basis is v's, regrouped; the values are images under the caller's t
-    return _on_basis(name or f"{v.name}'", new_values, basis, sizes)
+    basis = np.take(v.basis, _columns(v, order), axis=1)
+    return _on_basis(name or f"{v.name}'", images[starts], basis, sizes)
 
 
 def is_maximal(v: AccessibleVariable) -> bool:
@@ -187,8 +200,7 @@ def conjugated_variable(v: AccessibleVariable, u, value_action,
         raise NotPermutation(f"value action maps {v.values} to {new_values}, "
                              "not onto the value list")
     # entry j: value action(u_j), on U^dag times v's eigenvectors for that value
-    blocks = v.blocks()
-    basis = hilbert.dagger(uu) @ np.hstack([blocks[j] for j in perm])
+    basis = hilbert.dagger(uu) @ np.take(v.basis, _columns(v, perm), axis=1)
     return _on_basis(name or f"{v.name}*", new_values, basis, v.sizes[perm])
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from avq import hilbert, measurement, variables
 
-from conftest import random_density, random_hermitian, random_instrument, random_unitary
+from conftest import (random_density, random_diagonal_instrument, random_hermitian,
+                      random_instrument, random_unitary)
 
 TOL = hilbert.RESIDUAL_TOL
 
@@ -116,3 +117,21 @@ def test_built_values_pass_the_checks_they_skip(seed, d):
     inst = random_instrument(rng, d, 3)
     for j in range(3):
         hilbert.require_density(measurement.kraus_update(inst, random_density(rng, d), j)[1])
+
+
+def test_a_built_diagonal_density_is_not_checked_again(monkeypatch):
+    """diagonal_kraus_vs_bayes checks its prior and builds sigma = diag(w)
+    from it, so it makes no eigvalsh call, which require_density would;
+    kraus_update, handed the same sigma as input, makes one."""
+    rng = np.random.default_rng(11)
+    inst = random_diagonal_instrument(rng, 6, 3)
+    prior = rng.dirichlet(np.ones(6))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args: calls.append(args) or eigvalsh(*args))
+    kraus_posterior, bayes_posterior = measurement.diagonal_kraus_vs_bayes(inst, prior, 1)
+    assert calls == []
+    assert np.abs(kraus_posterior - bayes_posterior).max() < 1e-12
+    measurement.kraus_update(inst, np.diag(prior).astype(complex), 1)
+    assert len(calls) == 1

@@ -131,6 +131,28 @@ ROTATION = groups.GroupAction(groups.FiniteGroup.cyclic(3), ("x", "y", "z"),
     (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: 0.0, np.nan,
                                          inference.SimulationSpec(10, 1)),
      NotFinite, "observed"),
+    # what the caller's estimator, rule or likelihood returns is input too
+    (lambda: inference.mse_decompose(lambda d: np.nan, lambda rng, th: None,
+                                     inference.SimulationSpec(5, 1)),
+     NotFinite, "estimator returned nan"),
+    (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: np.nan, 0.0,
+                                         inference.SimulationSpec(5, 1)),
+     NotFinite, "estimator returned nan"),
+    (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: -np.inf, 0.0,
+                                         inference.SimulationSpec(5, 1)),
+     NotFinite, "estimator returned -inf"),
+    (lambda: inference.confidence_coverage(lambda d: (np.nan, 1.0), lambda rng, th: None,
+                                           inference.SimulationSpec(5, 1)),
+     DomainError, "\\(nan, 1.0\\), not an interval"),
+    (lambda: inference.confidence_coverage(lambda d: (2.0, 1.0), lambda rng, th: None,
+                                           inference.SimulationSpec(5, 1)),
+     DomainError, "\\(2.0, 1.0\\), not an interval"),
+    (lambda: inference.bayes_posterior(inference.DiscretePrior([0.0, 1.0], [0.5, 0.5]),
+                                       [np.inf, 1.0]),
+     NotFinite, "likelihood .* is not finite"),
+    (lambda: inference.bayes_posterior(inference.DiscretePrior([0.0, 1.0], [0.5, 0.5]),
+                                       [-1.0, 2.0]),
+     BadDistribution, "likelihood .* must be nonnegative"),
     (lambda: spin.rotation(1, [0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
     (lambda: spin.rotation_matrix([0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
     # a likelihood per parameter value: one does not broadcast

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avq import hilbert, measurement, variables
+from avq import born, hilbert, measurement, variables
 from avq.errors import (BadDistribution, DimMismatch, DomainError, NotDiagonal,
                         NotEffect, NotFinite, ValueMismatch, ZeroProbabilityBranch)
 
@@ -55,6 +55,43 @@ class TestStackedFamilies:
             loop = [min(max(np.real(hilbert.trace_product(hilbert.dagger(a) @ a, sigma)), 0.0),
                         1.0) for a in k.kraus]
             assert np.array_equal(measurement.branch_probabilities(k, sigma), loop)
+
+    def test_effects_are_kept_read_only(self, rng):
+        for _ in range(20):
+            d, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            k = random_instrument(rng, d, n)
+            want = hilbert.dagger(k.kraus) @ k.kraus
+            assert k.effects.dtype == want.dtype
+            assert k.effects.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                k.effects[0, 0, 0] = 0.0
+
+    def test_the_instrument_keeps_its_own_operators(self):
+        """Changing the array an instrument was built from changes neither
+        its operators nor its effects."""
+        family = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        k = measurement.KrausInstrument(family)
+        family[1] = 0.0
+        assert np.array_equal(k.kraus[1], np.diag([0.0, 1.0]))
+        assert np.array_equal(measurement.branch_probabilities(k, np.eye(2) / 2), [0.5, 0.5])
+        with pytest.raises(ValueError):
+            k.kraus[0, 0, 0] = 0.0
+
+    def test_branches_read_the_effects_to_the_bit(self, rng):
+        """branch_probabilities and kraus_update equal, bit for bit, the
+        expressions that computed A_j^dag A_j afresh."""
+        for _ in range(30):
+            d, n = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            k = random_instrument(rng, d, n)
+            sigma = random_density(rng, d)
+            probs = born.probabilities(sigma, hilbert.dagger(k.kraus) @ k.kraus)
+            assert measurement.branch_probabilities(k, sigma).tobytes() == probs.tobytes()
+            for j, a in enumerate(k.kraus):
+                p = float(born.probabilities(sigma, (hilbert.dagger(a) @ a)[None])[0])
+                post = a @ sigma @ hilbert.dagger(a) / p
+                got_p, got_post = measurement.kraus_update(k, sigma, j)
+                assert got_p == p
+                assert got_post.tobytes() == ((post + hilbert.dagger(post)) / 2.0).tobytes()
 
     @pytest.mark.parametrize("family", [
         (np.eye(2), np.eye(3)),

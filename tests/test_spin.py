@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from avq import hilbert, spin
+from avq import hilbert, spin, variables
 from avq.errors import NotFinite
 
 
@@ -81,6 +83,7 @@ class TestCachedLadder:
         for got, want in zip((ops.ax, ops.ay, ops.az, ops.plus, ops.minus),
                              fresh_ladder(two_r)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
 
     @pytest.mark.parametrize("two_r", [3, spin.CACHED_DIM - 1, spin.CACHED_DIM, 40])
     def test_read_only(self, two_r):
@@ -161,6 +164,30 @@ class TestComponentOperator:
             spin.component_operator(1, [1.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             spin.component_operator(1, [np.nan, 0.0, 1.0])
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_r=st.integers(0, 40),
+       v=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                               st.floats(-1.0, 1.0))] * 3))
+def test_component_is_the_dense_ladder_sum(two_r, v):
+    """Across CACHED_DIM, and for directions with signed zero components,
+    the component filled from its diagonals has the bits of the dense sum
+    n0 A_x + n1 A_y + n2 A_z, signed zeros included, so the variable built
+    from it is the same to the byte."""
+    assume(np.linalg.norm(v) > 1e-3)
+    n = spin.unit(v)
+    ax, ay, az, _, _ = fresh_ladder(two_r)
+    dense = n[0] * ax + n[1] * ay + n[2] * az
+    comp = spin.component_operator(two_r, n)
+    assert np.array_equal(comp, dense) and same_bytes(comp, dense)
+    got, want = (variables.AccessibleVariable.from_operator("a", h) for h in (comp, dense))
+    for field in ("values", "basis", "sizes"):
+        assert same_bytes(getattr(got, field), getattr(want, field))
 
 
 class TestCoherentState:
@@ -250,6 +277,21 @@ class TestResolutionDeviation:
 
     def test_trivial(self):
         assert spin.resolution_deviation(0, 1) == 0.0
+
+    @pytest.mark.parametrize("two_r,order", [(1, 3), (1, 16), (4, 7), (16, 18), (20, 24)])
+    def test_kept_quadrature_gives_the_fresh_one_bits(self, two_r, order):
+        """The quadrature is kept per order; twice over, the deviation has
+        the bits of the product quadrature built afresh."""
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        phi = np.tile(2.0 * np.pi * np.arange(order) / order, order)
+        c = np.repeat(nodes, order)
+        s = np.sqrt(1.0 - c * c)
+        amps = spin.coherent_states(two_r, np.stack([s * np.cos(phi), s * np.sin(phi), c], 1))
+        d = two_r + 1
+        w = np.repeat(weights, order) * (2.0 * np.pi / order) * d / (4.0 * np.pi)
+        want = float(np.max(np.abs((amps.T * w) @ amps.conj() - np.eye(d))))
+        for _ in range(2):
+            assert spin.resolution_deviation(two_r, order) == want
 
     def test_order_too_small(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import hilbert, spin, variables
-from avq.errors import DimMismatch, NotPermutation
+from avq.errors import DimMismatch, DomainError, NotPermutation
 
 from conftest import SX, random_maximal_variable, random_unitary
 
@@ -108,6 +108,55 @@ class TestDerivedVariable:
         w = variables.derived_variable(v, lambda u: round(u))
         expect = sum(round(u) * p for u, p in zip(v.values, v.projectors))
         assert np.max(np.abs(variables.operator_of(w) - expect)) < 1e-10
+
+
+def derived_by_scan(v, t):
+    """derived_variable as a scan: each image joins the first fiber whose
+    value lies within VALUE_GAP_TOL of it, or starts one; the basis is v's
+    column blocks stacked in fiber order."""
+    new_values, fibers = [], []
+    for j, u in enumerate(v.values):
+        img = float(t(u))
+        for k, w in enumerate(new_values):
+            if abs(img - w) <= variables.VALUE_GAP_TOL:
+                fibers[k].append(j)
+                break
+        else:
+            new_values.append(img)
+            fibers.append([j])
+    blocks = v.blocks()
+    basis = np.hstack([blocks[j] for fiber in fibers for j in fiber])
+    sizes = [v.sizes[fiber].sum() for fiber in fibers]
+    return variables.AccessibleVariable.from_basis("v'", new_values, basis, sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       points=st.lists(st.tuples(st.integers(0, 2),
+                                 st.sampled_from([0.0, 0.45, 0.55, 0.9, 0.999, 1.001,
+                                                  1.1, 1.5, 2.5]),
+                                 st.sampled_from([-1.0, 1.0])),
+                       min_size=1, max_size=8))
+def test_derived_fibers_equal_the_scan(seed, points):
+    """Images a few tolerances apart, so that near images can form chains
+    whose ends lie beyond the gap: the fibers, values, order and basis equal
+    the scan's to the bit, or both raise the same error."""
+    g = np.random.default_rng(seed)
+    sizes = g.integers(1, 3, size=len(points))
+    v = variables.AccessibleVariable.from_basis(
+        "v", np.arange(len(points), dtype=float), random_unitary(g, int(sizes.sum())), sizes)
+    images = [base + sign * gaps * variables.VALUE_GAP_TOL for base, gaps, sign in points]
+    t = lambda u: images[int(u)]
+    try:
+        want = derived_by_scan(v, t)
+    except DomainError as exc:
+        with pytest.raises(type(exc)):
+            variables.derived_variable(v, t)
+        return
+    got = variables.derived_variable(v, t)
+    for field in ("values", "basis", "sizes"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
