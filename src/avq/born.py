@@ -1,7 +1,8 @@
 """Born probabilities: ``probabilities``, the Born rule p = tr(sigma F) for
-a stack of effects; transition tables between maximal variables; the
-spin-1/2 closed form; the two-qubit singlet joint law.  All of them pass
-through ``_snap``, the one policy for values outside [0, 1].
+a stack of effects; ``joint``, the law of local questions that separate
+parties ask of one pure state, with the two-qubit singlet law as a case;
+transition tables between maximal variables; the spin-1/2 closed form.
+All of them pass through ``_snap``, the one policy for values outside [0, 1].
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ def probabilities(sigma, effects) -> np.ndarray:
     stack, through ``_snap``.  The caller checks sigma and the effects
     (``hilbert.require_density``, ``require_effect``, a ``Povm`` or a
     ``KrausInstrument``); a pure state |s> enters as sigma = |s><s|."""
+    if effects.shape[-1] != len(sigma):
+        raise DimMismatch(f"a state of dim {len(sigma)} for effects of dim {effects.shape[-1]}")
     return _snap(np.einsum("nik,ki->n", effects, sigma).real, len(sigma))
 
 
@@ -111,37 +114,42 @@ def crossval(pairs: int, seed: int) -> dict:
     return {"pairs": pairs, "max_deviation": worst}
 
 
-def _sign_projectors(a) -> dict:
-    """Projectors of the spin-1/2 component along a, keyed by outcome sign."""
+def joint(psi, *effects) -> np.ndarray:
+    """The joint Born law of local questions on a pure state psi on
+    C^{d_1} x ... x C^{d_k}, with an (n_i, d_i, d_i) effect stack per party:
+    entry [j_1, ..., j_k] is <psi| F_{j_1} x ... x F_{j_k} |psi>, through
+    ``_snap`` at d = psi.size.  It is one einsum over psi reshaped to
+    (d_1, ..., d_k), with no Kronecker product.  That einsum's plain loop
+    runs over all 3k indices (d^{3k} terms), cheap for a few qubits; larger
+    parties need a pairwise contraction order.  The caller checks psi and
+    the effects, as for ``probabilities``."""
+    dims = tuple(f.shape[-1] for f in effects)
+    if psi.size != np.prod(dims):
+        raise DimMismatch(f"a state of dim {psi.size} for parties of dims {dims}")
+    k = len(effects)
+    bra, ket, out = range(k), range(k, 2 * k), range(2 * k, 3 * k)
+    operands = [np.conj(psi).reshape(dims), list(bra)]
+    for f, n, i, j in zip(effects, out, bra, ket):
+        operands += [f, [n, i, j]]
+    p = np.einsum(*operands, psi.reshape(dims), list(ket), list(out)).real
+    return _snap(p, psi.size)
+
+
+# (|+-> - |-+>)/sqrt2 in the z-basis product ordering (+ first)
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+
+def _sign_projectors(a) -> np.ndarray:
+    """The (2, 2, 2) stack of projectors of the spin-1/2 component along a,
+    one per outcome sign in ``OUTCOMES`` order."""
     comp = spin.component_operator(1, a)
     eye = hilbert.identity(2)
-    return {+1: eye / 2 + comp, -1: eye / 2 - comp}
-
-
-def singlet_state() -> np.ndarray:
-    """(|+-> - |-+>)/sqrt2 in the z-basis product ordering (+ first)."""
-    return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    return np.stack([eye / 2 + sign * comp for sign in OUTCOMES])
 
 
 def singlet_joint(a, b) -> np.ndarray:
-    """2x2 joint law of outcome signs (alpha, beta) for singlet measurements.
-
-    Entry [i, j] is the probability of (OUTCOMES[i], OUTCOMES[j]); built
-    explicitly from the singlet state and tensor products of component
-    projectors.  The correlation E[alpha beta] equals -a.b.
-    """
-    psi = singlet_state()
-    pa = _sign_projectors(a)
-    pb = _sign_projectors(b)
-    joint = np.empty((2, 2))
-    for i, alpha in enumerate(OUTCOMES):
-        for j, beta in enumerate(OUTCOMES):
-            proj = hilbert.tensor(pa[alpha], pb[beta])
-            joint[i, j] = np.real(np.conj(psi) @ proj @ psi)
-    return _snap(joint, 4)
-
-
-def singlet_correlation(a, b) -> float:
-    joint = singlet_joint(a, b)
-    signs = np.array(OUTCOMES)
-    return float(np.sum(joint * np.outer(signs, signs)))
+    """2x2 joint law of outcome signs (alpha, beta) for singlet measurements
+    along a and b: entry [i, j] is the probability of (OUTCOMES[i],
+    OUTCOMES[j]), so the correlation E[alpha beta], the signed sum
+    (joint * outer(OUTCOMES, OUTCOMES)).sum(), equals -a.b."""
+    return joint(_SINGLET, _sign_projectors(a), _sign_projectors(b))

@@ -152,11 +152,6 @@ def eig_hermitian(h) -> tuple:
     return w[starts], vecs, np.diff(starts + [len(w)])
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, dim = dimA * dimB."""
-    return np.kron(as_operator(a), as_operator(b))
-
-
 def conjugate(u, a) -> np.ndarray:
     """U^dag A U for unitary U; preserves the spectrum of A."""
     uu = require_unitary(u)
@@ -216,15 +211,3 @@ def operator_from_dict(d: dict) -> np.ndarray:
         raise DimMismatch(f"operator of dim {n} needs dim >= 1 and dim^2 entries "
                           "each in re and im")
     return as_operator((re + 1j * im).reshape(n, n))
-
-
-def state_to_dict(v) -> dict:
-    s = as_state(v)
-    return {"dim": s.shape[0], "re": s.real.tolist(), "im": s.imag.tolist()}
-
-
-def state_from_dict(d: dict) -> np.ndarray:
-    n, re, im = json_fields(d, "state", dim=int, re=float, im=float)
-    if re.shape != (n,) or im.shape != (n,):
-        raise DimMismatch("state length does not match declared dim")
-    return as_state(re + 1j * im)

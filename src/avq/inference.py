@@ -173,10 +173,6 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
     return DiscretePrior(prior.values, w / total)
 
 
-def posterior_mean(posterior: DiscretePrior) -> float:
-    return float(posterior.values @ posterior.weights)
-
-
 def _replicate_estimates(estimator, sampler, spec: SimulationSpec):
     """Yield estimator(sampler(rng, theta)) as a float for each of the
     spec's n replicates, drawn in order from one generator seeded by the

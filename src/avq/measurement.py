@@ -2,8 +2,8 @@
 construction, evidence functionals, and Kraus updates.
 
 A POVM's effects and an instrument's Kraus operators are each held as one
-(n, d, d) complex stack, so building, checking and applying a family is a
-few batched numpy calls rather than one call per operator.  An instrument
+read-only (n, d, d) complex stack of their own, so building, checking and
+applying a family is a few batched numpy calls rather than one per operator.  An instrument
 also holds its effects A_j^dag A_j, which its completeness check computes,
 and its branch probabilities and updates read them.
 
@@ -89,15 +89,24 @@ def likelihood_effect(m: StatisticalModel, v: AccessibleVariable, x) -> np.ndarr
     return v.spectral_sum(row)
 
 
+def _own(stack: np.ndarray, given) -> np.ndarray:
+    """``stack`` read-only, and a copy if it is the caller's array ``given``,
+    so that no later write by the caller changes a checked value."""
+    stack = stack.copy(order="K") if stack is given else stack
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class Povm:
-    """Effects as one (n, d, d) stack: each is Hermitian with spectrum in
-    [0, 1], and together they sum to the identity."""
+    """Effects as one read-only (n, d, d) stack, the POVM's own: each is
+    Hermitian with spectrum in [0, 1], and together they sum to the
+    identity."""
 
     effects: np.ndarray
 
     def __post_init__(self):
-        effs = hilbert.as_operator_stack(self.effects, "effect")
+        effs = _own(hilbert.as_operator_stack(self.effects, "effect"), self.effects)
         object.__setattr__(self, "effects", effs)
         hilbert.require(hilbert.hermitian_residual(effs), RESIDUAL_TOL,
                         NotEffect, "max |F - F^dag| over the effects")
@@ -112,7 +121,9 @@ def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
     V diag(p(x|.)) V^dag; completeness holds since the model's columns
     each sum to one."""
     _require_matching(m, v)
-    return hilbert._unchecked(Povm, effects=v.spectral_sum(m.likelihood))
+    effects = v.spectral_sum(m.likelihood)
+    effects.setflags(write=False)
+    return hilbert._unchecked(Povm, effects=effects)
 
 
 def density_of(pi, v: AccessibleVariable) -> np.ndarray:
@@ -155,12 +166,9 @@ class KrausInstrument:
     effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = hilbert.as_operator_stack(self.kraus, "Kraus operator")
-        if ops is self.kraus:  # the caller's own array
-            ops = ops.copy(order="K")
+        ops = _own(hilbert.as_operator_stack(self.kraus, "Kraus operator"), self.kraus)
         effects = hilbert.dagger(ops) @ ops
-        for a in (ops, effects):
-            a.setflags(write=False)
+        effects.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "effects", effects)
         hilbert.require(np.abs(effects.sum(0) - hilbert.identity(ops.shape[1])).max(),
@@ -209,12 +217,6 @@ def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
     lik = np.abs(np.diagonal(k.kraus[j])) ** 2
     bayes_posterior = w * lik / np.sum(w * lik)
     return kraus_posterior, bayes_posterior
-
-
-def data_probability(sigma, m: StatisticalModel, v: AccessibleVariable, x) -> float:
-    """trace(M(x) sigma) through the model's likelihood effect."""
-    return float(born.probabilities(hilbert.require_density(sigma),
-                                    likelihood_effect(m, v, x)[None])[0])
 
 
 def random_check(cases: int, seed: int) -> dict:

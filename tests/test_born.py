@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from avq import born, hilbert, measurement, spin, variables
 from avq.errors import DimMismatch, DomainError, NotMaximal, NotProjector
 
-from conftest import random_density, random_maximal_variable, random_state, random_unitary
+from conftest import (SX, random_density, random_instrument, random_maximal_variable,
+                      random_state, random_unitary)
+
+TOL = hilbert.RESIDUAL_TOL
 
 
 def direction_variable(two_r, a, name):
@@ -165,6 +168,11 @@ class TestCrossval:
             born.crossval(pairs, 1)
 
 
+def correlation(joint) -> float:
+    """E[alpha beta], the signed sum of a 2x2 joint law of outcome signs."""
+    return float((joint * np.outer(born.OUTCOMES, born.OUTCOMES)).sum())
+
+
 class TestSingletJoint:
     def test_perfect_anticorrelation(self, rng):
         a = spin.unit(rng.normal(size=3))
@@ -179,7 +187,7 @@ class TestSingletJoint:
 
     def test_forty_five_degrees(self):
         b = [np.sin(np.pi / 4), 0.0, np.cos(np.pi / 4)]
-        assert born.singlet_correlation([0, 0, 1], b) == \
+        assert correlation(born.singlet_joint([0, 0, 1], b)) == \
             pytest.approx(-np.sqrt(2.0) / 2.0, abs=1e-10)
 
     def test_normalization_and_marginals(self, rng):
@@ -194,7 +202,72 @@ class TestSingletJoint:
         for _ in range(200):
             a = spin.unit(rng.normal(size=3))
             b = spin.unit(rng.normal(size=3))
-            assert abs(born.singlet_correlation(a, b) + float(a @ b)) < 1e-10
+            assert abs(correlation(born.singlet_joint(a, b)) + float(a @ b)) < 1e-10
+
+
+def random_effects(rng, d):
+    """A random complete (n, d, d) effect stack, 1 <= n <= 3."""
+    return random_instrument(rng, d, int(rng.integers(1, 4))).effects
+
+
+def kron_reference(psi, fa, fb) -> np.ndarray:
+    """[i, j] = Re <psi| F_i (x) G_j |psi> with the dense Kronecker product."""
+    return np.array([[np.vdot(psi, np.kron(f, g) @ psi).real for g in fb] for f in fa])
+
+
+class TestJoint:
+    """born.joint, the Born law of local questions on one pure state."""
+
+    def test_one_party_is_the_born_rule(self, rng):
+        for d in range(1, 9):
+            psi, f = random_state(rng, d), random_effects(rng, d)
+            assert np.max(np.abs(born.joint(psi, f) - born.probabilities(pure(psi), f))) \
+                < TOL
+
+    def test_marginals_are_the_reduced_laws(self, rng):
+        for _ in range(20):
+            da, db = (int(n) for n in rng.integers(1, 5, size=2))
+            psi = random_state(rng, da * db)
+            fa, fb = random_effects(rng, da), random_effects(rng, db)
+            p = born.joint(psi, fa, fb)
+            t = psi.reshape(da, db)
+            rho_a = np.einsum("ab,cb->ac", t, np.conj(t))
+            rho_b = np.einsum("ab,ac->bc", t, np.conj(t))
+            assert np.max(np.abs(p.sum(1) - born.probabilities(rho_a, fa))) < TOL
+            assert np.max(np.abs(p.sum(0) - born.probabilities(rho_b, fb))) < TOL
+
+    def test_product_state_factorizes(self, rng):
+        """On psi_A (x) psi_B (x) ... the law is the outer product of the
+        one-party laws, for one to three parties."""
+        for k in (1, 2, 3):
+            dims = [int(n) for n in rng.integers(1, 4, size=k)]
+            states = [random_state(rng, d) for d in dims]
+            stacks = [random_effects(rng, d) for d in dims]
+            psi, law = np.ones(1), np.ones(())
+            for s, f in zip(states, stacks):
+                psi = np.multiply.outer(psi, s).ravel()
+                law = np.multiply.outer(law, born.joint(s, f))
+            assert np.max(np.abs(born.joint(psi, *stacks) - law)) < TOL
+
+    def test_ghz_signs_multiply_to_one(self):
+        """(|000> + |111>)/sqrt2 with sigma_x on each qubit: every outcome
+        triple with sign product -1 has probability zero, so E[xxx] = 1."""
+        ghz = np.zeros(8, dtype=complex)
+        ghz[[0, 7]] = 1.0 / np.sqrt(2.0)
+        x = np.stack([(np.eye(2) + s * SX) / 2 for s in born.OUTCOMES])
+        p = born.joint(ghz, x, x, x)
+        signs = np.multiply.outer(np.multiply.outer(born.OUTCOMES, born.OUTCOMES),
+                                  born.OUTCOMES)
+        assert np.max(np.abs(p[signs < 0])) < TOL
+        assert np.max(np.abs(p[signs > 0] - 0.25)) < TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), da=st.integers(1, 4), db=st.integers(1, 4))
+    def test_equals_the_kronecker_reference(self, seed, da, db):
+        rng = np.random.default_rng(seed)
+        psi = random_state(rng, da * db)
+        fa, fb = random_effects(rng, da), random_effects(rng, db)
+        assert np.max(np.abs(born.joint(psi, fa, fb) - kron_reference(psi, fa, fb))) < TOL
 
 
 class TestCsvExport:
@@ -209,7 +282,6 @@ class TestCsvExport:
         assert lines[0].startswith("a\\b")
 
 
-TOL = hilbert.RESIDUAL_TOL
 UP = np.diag([1.0, 0.0]).astype(complex)
 OVER = np.diag([1.0 + 5e-11, 0.0]).astype(complex)  # an effect the checks accept
 
@@ -243,11 +315,12 @@ class TestOnePolicy:
         lambda: measurement.evidence(UP)(OVER),
         lambda: measurement.kraus_update(over_instrument(), UP, 0)[0],
         lambda: measurement.branch_probabilities(over_instrument(), UP)[0],
-        lambda: measurement.data_probability(UP, over_model(), z_basis(), 0),
+        lambda: measurement.evidence(UP)(measurement.likelihood_effect(over_model(),
+                                                                       z_basis(), 0)),
         lambda: born.transition_probability(over_basis(), 0, over_basis(), 0),
         lambda: born.transition_table(over_basis(), over_basis()).matrix[0, 0],
     ], ids=["probabilities", "evidence", "kraus_update", "branch_probabilities",
-            "data_probability", "transition_probability", "transition_table"])
+            "likelihood_evidence", "transition_probability", "transition_table"])
     def test_an_accepted_overshoot_snaps_to_one(self, entry):
         assert entry() == 1.0
 
@@ -288,7 +361,7 @@ class TestOnePolicy:
             lambda: measurement.evidence(sigma)(f),
             lambda: measurement.branch_probabilities(inst, sigma),
             lambda: measurement.kraus_update(inst, sigma, 0)[0],
-            lambda: measurement.data_probability(sigma, model, va, 0),
+            lambda: measurement.evidence(sigma)(measurement.likelihood_effect(model, va, 0)),
             lambda: born.transition_probability(va, 0, vb, 0),
             lambda: born.transition_table(va, vb).matrix,
             lambda: born.spin_half_transition(a, b, +1),

@@ -116,6 +116,17 @@ ROTATION = groups.GroupAction(groups.FiniteGroup.cyclic(3), ("x", "y", "z"),
      DomainError, "branch j"),
     (lambda: measurement.diagonal_kraus_vs_bayes(which_path(), [0.5, 0.5], 2),
      DomainError, "branch j"),
+    # a state or prior has the dimension of the effects or parties it meets
+    (lambda: measurement.branch_probabilities(which_path(), np.eye(3) / 3), DimMismatch,
+     "state of dim 3 for effects of dim 2"),
+    (lambda: measurement.kraus_update(which_path(), np.eye(3) / 3, 0), DimMismatch,
+     "state of dim 3 for effects of dim 2"),
+    (lambda: measurement.diagonal_kraus_vs_bayes(which_path(), [0.2, 0.3, 0.5], 0),
+     DimMismatch, "state of dim 3 for effects of dim 2"),
+    (lambda: measurement.evidence(np.eye(3) / 3)(EYE2), DimMismatch,
+     "state of dim 3 for effects of dim 2"),
+    (lambda: born.joint(np.full(4, 0.5), EYE2[None], np.eye(3)[None]), DimMismatch,
+     "state of dim 4 for parties of dims \\(2, 3\\)"),
     (lambda: born.transition_probability(spin_z(), -1, spin_z(), 0), DomainError,
      "index i must lie in 0..1, got -1"),
     (lambda: born.transition_probability(spin_z(), 0, spin_z(), 2), DomainError,
@@ -212,17 +223,26 @@ def test_medical_report_cross_check_carries_its_residual(monkeypatch):
     assert (exc.residual, exc.tol) == (0.25, hilbert.RESIDUAL_TOL)
 
 
+def library_offenders(offends) -> list:
+    """"file:line" of each node of avq's source for which ``offends`` holds."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(pathlib.Path(avq.__file__).parent.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path))) if offends(node)]
+
+
 def test_the_library_neither_asserts_nor_raises_assertion_error():
     """A failed check is a DomainError: no ``assert`` (which ``python -O``
     also strips) and no ``raise AssertionError`` anywhere in avq."""
-    offenders = []
-    for path in sorted(pathlib.Path(avq.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert) or (
-                    isinstance(node, ast.Raise) and node.exc is not None
-                    and "AssertionError" in ast.unparse(node.exc)):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    assert library_offenders(lambda node: isinstance(node, ast.Assert) or (
+        isinstance(node, ast.Raise) and node.exc is not None
+        and "AssertionError" in ast.unparse(node.exc))) == []
+
+
+def test_the_library_forms_no_kronecker_product():
+    """A joint law of local questions contracts each party's effects with
+    the reshaped state (``born.joint``): no ``kron`` call anywhere in avq."""
+    assert library_offenders(lambda node: isinstance(node, ast.Call) and "kron" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))) == []
 
 
 def public_callables():
@@ -272,7 +292,6 @@ JSON_VALUES = st.recursive(
 LOADERS = [(measurement.StatisticalModel.from_dict, ("parameters", "samples", "likelihood")),
            (variables.variable_from_dict, ("name", "values", "projectors")),
            (hilbert.operator_from_dict, ("dim", "re", "im")),
-           (hilbert.state_from_dict, ("dim", "re", "im")),
            (groups.action_from_dict, ("order", "cayley", "space", "action"))]
 
 
@@ -284,7 +303,6 @@ LOADERS = [(measurement.StatisticalModel.from_dict, ("parameters", "samples", "l
     (variables.variable_from_dict, {"name": "v", "values": [0.0], "projectors": [5]}),
     (hilbert.operator_from_dict, {"dim": [1], "re": [1.0], "im": [0.0]}),
     (hilbert.operator_from_dict, {"dim": 1, "re": [10**400], "im": [0.0]}),
-    (hilbert.state_from_dict, {"dim": 1, "re": [{}], "im": [0.0]}),
     (groups.action_from_dict, {"order": 1, "cayley": 5, "space": ["x"], "action": [[0]]}),
 ])
 def test_wrong_shape_json_raises_bad_shape(load, doc):
@@ -295,7 +313,6 @@ def test_wrong_shape_json_raises_bad_shape(load, doc):
 @pytest.mark.parametrize("load, doc", [
     (hilbert.operator_from_dict, {"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0] * 4}),
     (hilbert.operator_from_dict, {"dim": 0, "re": [], "im": []}),
-    (hilbert.state_from_dict, {"dim": 2, "re": [1.0, 0.0], "im": [0.0]}),
 ])
 def test_entry_counts_must_match_dim(load, doc):
     with pytest.raises(DimMismatch):

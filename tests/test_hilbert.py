@@ -65,26 +65,6 @@ class TestEigHermitian:
                     assert np.max(np.abs(p @ q - expect)) < 1e-10
 
 
-class TestTensor:
-    def test_identities(self):
-        assert np.allclose(hilbert.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_product(self):
-        t = hilbert.tensor(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-        assert np.allclose(t, np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_disjoint_factors_commute(self):
-        a = hilbert.tensor(SZ, np.eye(2))
-        b = hilbert.tensor(np.eye(2), SX)
-        assert np.max(np.abs(a @ b - b @ a)) < 1e-12
-
-    def test_mixed_product_rule(self, rng):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 3)
-        lhs = hilbert.tensor(a, np.eye(3)) @ hilbert.tensor(np.eye(2), b)
-        assert np.max(np.abs(lhs - hilbert.tensor(a, b))) < 1e-10
-
-
 class TestConjugate:
     def test_identity(self, rng):
         a = random_hermitian(rng, 3)
@@ -189,7 +169,3 @@ class TestSerialization:
     def test_operator_roundtrip(self, rng):
         a = random_hermitian(rng, 3)
         assert np.allclose(hilbert.operator_from_dict(hilbert.operator_to_dict(a)), a)
-
-    def test_state_roundtrip(self, rng):
-        s = random_state(rng, 5)
-        assert np.allclose(hilbert.state_from_dict(hilbert.state_to_dict(s)), s)

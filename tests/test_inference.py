@@ -69,20 +69,6 @@ class TestBayesPosterior:
         assert np.allclose(p_full.weights, p_suff.weights, atol=1e-14)
 
 
-class TestPosteriorMean:
-    def test_point_mass(self):
-        assert inference.posterior_mean(
-            inference.DiscretePrior([3.0], [1.0])) == 3.0
-
-    def test_uniform_binary(self):
-        assert inference.posterior_mean(
-            inference.DiscretePrior([0.0, 1.0], [0.5, 0.5])) == 0.5
-
-    def test_weighted(self):
-        assert inference.posterior_mean(
-            inference.DiscretePrior([0.0, 1.0], [0.8, 0.2])) == pytest.approx(0.2)
-
-
 class TestMseDecompose:
     def test_oracle_estimator(self):
         spec = inference.SimulationSpec(100, 1, theta=2.5)

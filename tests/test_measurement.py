@@ -77,6 +77,17 @@ class TestStackedFamilies:
         with pytest.raises(ValueError):
             k.kraus[0, 0, 0] = 0.0
 
+    def test_the_povm_keeps_its_own_effects(self):
+        """Changing the array a POVM was built from leaves the checked POVM
+        as it was, and its effects are read-only, also for a model's POVM."""
+        family = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        p = measurement.Povm(family)
+        family[1] = 5.0
+        assert np.array_equal(p.effects[1], np.diag([0.0, 1.0]))
+        for povm in (p, measurement.povm_of_model(binary_model(), coordinate_variable(2))):
+            with pytest.raises(ValueError):
+                povm.effects[0, 0, 0] = 0.0
+
     def test_branches_read_the_effects_to_the_bit(self, rng):
         """branch_probabilities and kraus_update equal, bit for bit, the
         expressions that computed A_j^dag A_j afresh."""
@@ -395,21 +406,26 @@ class TestDiagonalKrausVsBayes:
             assert np.max(np.abs(kp - bp)) < 1e-12
 
 
+def data_probability(sigma, m, v, x) -> float:
+    """tr(F(x) sigma), the evidence of the model's likelihood effect."""
+    return measurement.evidence(sigma)(measurement.likelihood_effect(m, v, x))
+
+
 class TestDataProbability:
     def test_deterministic_pure(self):
         v = coordinate_variable(3)
         m = measurement.StatisticalModel(np.arange(3.0), (0, 1, 2), np.eye(3))
         sigma = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        assert measurement.data_probability(sigma, m, v, 1) == pytest.approx(1.0)
+        assert data_probability(sigma, m, v, 1) == pytest.approx(1.0)
 
     def test_binary_mixed(self):
         sigma = np.diag([0.5, 0.5]).astype(complex)
-        assert measurement.data_probability(
+        assert data_probability(
             sigma, binary_model(), coordinate_variable(2), 0) == pytest.approx(0.5)
 
     def test_binary_point(self):
         sigma = np.diag([1.0, 0.0]).astype(complex)
-        assert measurement.data_probability(
+        assert data_probability(
             sigma, binary_model(), coordinate_variable(2), 0) == pytest.approx(0.8)
 
     def test_sums_to_one(self, rng):
@@ -417,8 +433,7 @@ class TestDataProbability:
         m = random_model(rng, d, 6)
         v = coordinate_variable(d)
         sigma = random_density(rng, d)
-        total = sum(measurement.data_probability(sigma, m, v, x)
-                    for x in m.sample_points)
+        total = sum(data_probability(sigma, m, v, x) for x in m.sample_points)
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -452,5 +467,4 @@ class TestFocusedLikelihood:
         sigma = random_density(rng, 2)
         q = measurement.evidence(sigma)
         assert q(f1) == q(f2)
-        assert measurement.data_probability(sigma, m1, v, 0) == \
-            measurement.data_probability(sigma, m2, v, "lo")
+        assert data_probability(sigma, m1, v, 0) == data_probability(sigma, m2, v, "lo")
