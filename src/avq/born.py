@@ -1,7 +1,8 @@
 """Born probabilities: ``probabilities``, the Born rule p = tr(sigma F) for
 a stack of effects; ``joint``, the law of local questions that separate
 parties ask of one pure state, with the two-qubit singlet law as a case;
-transition tables between maximal variables; the spin-1/2 closed form.
+transition tables between maximal variables; the spin-1/2 closed form
+and ``spin_half_routes``, the same law through the abstract route.
 All of them pass through ``_snap``, the one policy for values outside [0, 1].
 """
 
@@ -96,10 +97,20 @@ def spin_half_transition(a, b, sign: int = +1) -> float:
     return float(_snap(0.5 * (1.0 + sign * float(av @ bv)), 2))
 
 
+def spin_half_routes(a, b) -> tuple:
+    """(closed, abstract): the spin-1/2 transition probability between the
+    + answers of the a and b components, as (1 + a.b)/2 and as
+    |<a;+|b;+>|^2 through the eigenbases of the two component variables
+    (index 1 holds the value +1/2).  Proposition 1 says they are equal."""
+    closed = spin_half_transition(a, b, +1)
+    va = AccessibleVariable.from_operator("a", spin.component_operator(1, a))
+    vb = AccessibleVariable.from_operator("b", spin.component_operator(1, b))
+    return closed, transition_probability(va, 1, vb, 1)
+
+
 def crossval(pairs: int, seed: int) -> dict:
     """Proposition 1 on random direction pairs a, b (drawn in that order):
-    the worst gap between (1 + a.b)/2 and |<a;+|b;+>|^2 through the
-    eigenbases of the spin-1/2 component variables."""
+    the worst gap between the two ``spin_half_routes``."""
     require_count(pairs, 1, f"need at least one pair, got {pairs}")
     require_count(seed, 0, "seed must be non-negative")
     rng = np.random.default_rng(seed)
@@ -107,10 +118,8 @@ def crossval(pairs: int, seed: int) -> dict:
     for _ in range(pairs):
         a = spin.unit(rng.normal(size=3))
         b = spin.unit(rng.normal(size=3))
-        closed = spin_half_transition(a, b, +1)
-        va = AccessibleVariable.from_operator("a", spin.component_operator(1, a))
-        vb = AccessibleVariable.from_operator("b", spin.component_operator(1, b))
-        worst = max(worst, abs(closed - transition_probability(va, 1, vb, 1)))
+        closed, abstract = spin_half_routes(a, b)
+        worst = max(worst, abs(closed - abstract))
     return {"pairs": pairs, "max_deviation": worst}
 
 

@@ -22,11 +22,8 @@ from .errors import DomainError, ValueMismatch
 
 
 def _parse_triple(text):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
     try:
-        return spin.unit(parts)
+        return spin.unit([float(x) for x in text.split(",")])
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from . import born, spin, variables
+from . import born, spin
 from .errors import BadDistribution, DimMismatch, DomainError
 from .hilbert import RESIDUAL_TOL, require
 from .inference import lockstep, require_count, require_finite
@@ -60,7 +60,9 @@ def chsh_statistic(correlations):
 
 
 def plane_direction(angle: float) -> np.ndarray:
-    """Measurement direction at the given angle (radians) in the x-z plane."""
+    """Measurement direction at the given finite angle (radians) in the
+    x-z plane."""
+    require_finite("angle", angle)
     return np.array([np.sin(angle), 0.0, np.cos(angle)])
 
 
@@ -395,14 +397,7 @@ def medical_quantum():
     probability between the +1 answers of the two direction components);
     both equal 1/3.
     """
-    a, b = QUANTUM_DIRECTION_A, QUANTUM_DIRECTION_B
-    closed = born.spin_half_transition(a, b, +1)
-    va = variables.AccessibleVariable.from_operator("sign_a", spin.component_operator(1, a))
-    vb = variables.AccessibleVariable.from_operator("sign_b", spin.component_operator(1, b))
-    i = int(np.argmax(va.values))  # the +1/2 answer plays the +1 sign
-    j = int(np.argmax(vb.values))
-    abstract = born.transition_probability(va, i, vb, j)
-    return closed, abstract
+    return born.spin_half_routes(QUANTUM_DIRECTION_A, QUANTUM_DIRECTION_B)
 
 
 @dataclass(frozen=True)

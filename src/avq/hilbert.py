@@ -34,26 +34,28 @@ def require(dev, tol: float, error, what: str):
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a square complex matrix of dim >= 1 with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimMismatch(f"expected a square matrix of dim >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotFinite("operator entries must be finite")
     return m
 
 
 def as_operator_stack(ops, what: str) -> np.ndarray:
-    """Coerce a non-empty family of d x d matrices to one (n, d, d) complex
-    stack with finite entries; ``what`` names a member in error messages."""
+    """Coerce a non-empty family of d x d matrices, d >= 1, to one (n, d, d)
+    complex stack with finite entries; ``what`` names a member in error
+    messages."""
     try:
         m = np.asarray(ops, dtype=complex)
     except ValueError as exc:  # ragged, so no common shape
         raise DimMismatch(f"each {what} must be a d x d matrix of one d: {exc}") from None
     if m.shape[:1] == (0,):
         raise BadDistribution(f"need at least one {what}")
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise DimMismatch(f"expected a stack of square matrices, got shape {m.shape}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.size == 0:
+        raise DimMismatch(f"expected a stack of square matrices of dim >= 1, "
+                          f"got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotFinite(f"{what} entries must be finite")
     return m

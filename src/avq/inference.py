@@ -174,17 +174,16 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
 
 
 def _replicate_estimates(estimator, sampler, spec: SimulationSpec):
-    """Yield estimator(sampler(rng, theta)) as a float for each of the
-    spec's n replicates, drawn in order from one generator seeded by the
-    spec, keeping one replicate's data at a time.  The caller checks the
-    estimates: they come from the caller's functions."""
+    """Yield estimator(sampler(rng, theta)) as a finite float for each of
+    the spec's n replicates, drawn in order from one generator seeded by
+    the spec, keeping one replicate's data at a time.  A non-finite
+    estimate raises NotFinite: it comes from the caller's functions."""
     rng = spec.rng()
     for _ in range(spec.n):
-        yield float(estimator(sampler(rng, spec.theta)))
-
-
-def _not_finite(estimate) -> NotFinite:
-    return NotFinite(f"the estimator returned {estimate}, not a finite estimate")
+        estimate = float(estimator(sampler(rng, spec.theta)))
+        if not math.isfinite(estimate):
+            raise NotFinite(f"the estimator returned {estimate}, not a finite estimate")
+        yield estimate
 
 
 def mse_decompose(estimator, sampler, spec: SimulationSpec):
@@ -196,8 +195,6 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
     replicate, and one replicate's data at a time.
     """
     est = np.fromiter(_replicate_estimates(estimator, sampler, spec), float, spec.n)
-    if not np.isfinite(est).all():
-        raise _not_finite(est[~np.isfinite(est)][0])
     err = est - spec.theta
     mse = float(np.mean(err ** 2))
     bias_sq = float(np.mean(err)) ** 2
@@ -254,12 +251,8 @@ def p_value_one_sided(sampler, estimator, observed: float, spec: SimulationSpec)
     if observed == np.inf:
         return 0.0
     require_finite("observed", observed)
-    above = 0
-    for est in _replicate_estimates(estimator, sampler, spec):
-        if not math.isfinite(est):
-            raise _not_finite(est)
-        above += est > observed
-    return above / spec.n
+    estimates = _replicate_estimates(estimator, sampler, spec)
+    return sum(est > observed for est in estimates) / spec.n
 
 
 @dataclass(frozen=True)

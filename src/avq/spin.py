@@ -2,19 +2,21 @@
 
 The representation is labeled by ``two_r`` (twice the spin quantum number),
 dimension d = two_r + 1.  Basis order is m = +r down to -r, so the z
-component is diag(r, r-1, ..., -r).
+component is diag(r, r-1, ..., -r).  The ladders and every direction
+component are filled from the cached diagonals of ``_bands``.  A
+direction is three real components: any other size raises DimMismatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from . import hilbert
-from .errors import DomainError, NotFinite, NotInteger
+from .errors import DimMismatch, DomainError, NotFinite, NotInteger
 from .inference import require_finite
 
 DIRECTION_TOL = 1e-12
@@ -35,8 +37,18 @@ def _whole(value, what: str) -> int:
     return whole
 
 
+def _direction_array(a, shape) -> np.ndarray:
+    """``a`` as floats of ``shape``, 3 for one direction or (-1, 3) for
+    rows of them; a size that does not fit raises DimMismatch."""
+    v = np.asarray(a, dtype=float)
+    try:
+        return v.reshape(shape)
+    except ValueError:
+        raise DimMismatch(f"a direction has 3 components, got {v.size} numbers") from None
+
+
 def as_direction(a) -> np.ndarray:
-    v = np.asarray(a, dtype=float).reshape(3)
+    v = _direction_array(a, 3)
     hilbert.require(abs(np.linalg.norm(v) - 1.0), DIRECTION_TOL, DomainError,
                     "direction |norm - 1|")
     return v
@@ -44,7 +56,7 @@ def as_direction(a) -> np.ndarray:
 
 def unit(a) -> np.ndarray:
     """Normalize a 3-vector to a unit direction."""
-    v = np.asarray(a, dtype=float).reshape(3)
+    v = _direction_array(a, 3)
     if not np.isfinite(v).all():
         raise NotFinite(f"direction {v} is not finite")
     nrm = np.linalg.norm(v)
@@ -79,35 +91,12 @@ class SpinOperators:
         return self.ax @ self.ax + self.ay @ self.ay + self.az @ self.az
 
 
-# Ladders below this dimension are built once and kept for
-# ``spin_operators``, whose callers (the algebra self-check and the demos)
-# ask for small spins again and again; a large one is rebuilt on each call.
-# The cache holds at most 16 ladders, about 0.12 MB.  Spin components do not
-# read the ladders: building five dense d x d ladders to fill three
-# diagonals took 0.5 ms at d = 96, against 0.86 ms for the eigh done with
-# the component, so ``component_operator`` fills them from ``_bands``.
-CACHED_DIM = 16
-
-
 def spin_operators(two_r: int) -> SpinOperators:
-    """Ladder construction in the canonical basis |r;m>, m = +r..-r.
-
-    The arrays are read-only: ladders of dimension up to ``CACHED_DIM``
-    are cached, and every caller shares them.
-    """
+    """Ladder construction in the canonical basis |r;m>, m = +r..-r: each
+    call fills new arrays from ``_bands``, so a caller may write to them."""
     two_r = _whole(two_r, "two_r")
-    return (_cached_ladder if two_r < CACHED_DIM else _ladder)(two_r)
-
-
-def _ladder(two_r: int) -> SpinOperators:
     *bands, where = _bands(two_r)
-    ops = [b[where] for b in bands]
-    for a in ops:
-        a.setflags(write=False)
-    return SpinOperators(two_r, *ops)
-
-
-_cached_ladder = cache(_ladder)
+    return SpinOperators(two_r, *(b[where] for b in bands))
 
 
 def rotation(two_r: int, n, omega: float) -> np.ndarray:
@@ -203,7 +192,7 @@ def coherent_states(two_r: int, dirs) -> np.ndarray:
     holds up to 2r = 1020.
     """
     two_r = _whole(two_r, "two_r")
-    a = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    a = _direction_array(dirs, (-1, 3))
     hilbert.require(np.abs(np.linalg.norm(a, axis=1) - 1.0).max(initial=0.0),
                     DIRECTION_TOL, DomainError, "direction |norm - 1|")
     k = np.arange(two_r + 1)
@@ -221,7 +210,7 @@ def coherent_state(two_r: int, a) -> np.ndarray:
     the contract the tests pin.  The global phase is fixed by making the
     first amplitude above 1e-12 in modulus real positive.
     """
-    return _canonical_phase(coherent_states(two_r, as_direction(a))[0])
+    return _canonical_phase(coherent_states(two_r, _direction_array(a, 3))[0])
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

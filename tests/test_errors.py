@@ -41,6 +41,19 @@ def prior3():
 ROTATION = groups.GroupAction(groups.FiniteGroup.cyclic(3), ("x", "y", "z"),
                               [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
+# every public call that takes a direction, as a call on that direction
+DIRECTION_TAKERS = (spin.as_direction, spin.unit,
+                    lambda a: spin.component_operator(1, a),
+                    lambda a: spin.rotation(1, a, 0.5),
+                    lambda a: spin.rotation_matrix(a, 0.5),
+                    lambda a: spin.coherent_state(1, a),
+                    lambda a: spin.coherent_states(1, a),
+                    lambda a: born.spin_half_transition([0, 0, 1], a),
+                    lambda a: born.singlet_joint([0, 0, 1], a))
+# an operator on C^0, and a stack of one
+EMPTY = np.zeros((0, 0))
+EMPTY_STACK = np.zeros((1, 0, 0))
+
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: born.spin_half_transition([0, 0, 1], [0, 0, 1], 0), DomainError, "sign"),
@@ -185,6 +198,24 @@ ROTATION = groups.GroupAction(groups.FiniteGroup.cyclic(3), ("x", "y", "z"),
     (lambda: experiments.psi_transform([1, 2, 3]), DimMismatch, "4 treatment effects"),
     (lambda: experiments.zeta_contrasts([1, 2, 3, np.nan]), NotFinite, "treatment effects"),
     (lambda: experiments.orthant_conditional(2.0), DomainError, "rho must lie in"),
+    (lambda: experiments.plane_direction(np.nan), NotFinite, "angle"),
+    # a direction has three components
+    *[(lambda take=take, a=a: take(a), DimMismatch, f"3 components, got {len(a)} numbers")
+      for take in DIRECTION_TAKERS for a in ([0.0, 1.0], [0.0, 0.0, 1.0, 0.0])],
+    # an operator acts on C^d with d >= 1
+    *[(build, DimMismatch, "dim >= 1") for build in (
+        lambda: hilbert.eig_hermitian(EMPTY),
+        lambda: hilbert.require_hermitian(EMPTY),
+        lambda: hilbert.require_unitary(EMPTY),
+        lambda: hilbert.require_effect(EMPTY),
+        lambda: hilbert.require_density(EMPTY),
+        lambda: hilbert.conjugate(EMPTY, EMPTY),
+        lambda: measurement.evidence(EMPTY),
+        lambda: variables.AccessibleVariable.from_operator("v", EMPTY),
+        lambda: variables.AccessibleVariable.from_basis("v", [], EMPTY, []),
+        lambda: variables.AccessibleVariable("v", [0.0], EMPTY_STACK),
+        lambda: measurement.Povm(EMPTY_STACK),
+        lambda: measurement.KrausInstrument(EMPTY_STACK))],
 ])
 def test_every_library_check_raises_a_domain_error(build, error, message):
     with pytest.raises(DomainError, match=message) as info:
@@ -236,6 +267,19 @@ def test_the_library_neither_asserts_nor_raises_assertion_error():
     assert library_offenders(lambda node: isinstance(node, ast.Assert) or (
         isinstance(node, ast.Raise) and node.exc is not None
         and "AssertionError" in ast.unparse(node.exc))) == []
+
+
+def test_only_the_spin_bands_and_quadrature_are_cached():
+    """A cache earns its place by repeat traffic on a bench workload: the
+    monte-carlo pass asks ``_bands`` for about 1,800 components at 2r <= 4,
+    and the exact-algebra pass uses two quadrature orders.  Every reference
+    to ``functools.cache`` or ``lru_cache`` in avq, as a decorator or a
+    call, is one of those two decorators."""
+    caches = ("cache", "lru_cache")
+    found = library_offenders(lambda node: getattr(node, "id", None) in caches
+                              or getattr(node, "attr", None) in caches)
+    assert found == [f"spin.py:{inspect.getsourcelines(cached)[1]}"
+                     for cached in (spin._bands, spin._sphere_quadrature)]
 
 
 def test_the_library_forms_no_kronecker_product():
