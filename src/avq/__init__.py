@@ -2,9 +2,6 @@
 variables, spin operators, Born probabilities, measurement updates, and
 classical inference comparisons."""
 
-from . import (born, errors, experiments, groups, hilbert, inference,
-               measurement, spin, variables)
-
 __all__ = ["born", "errors", "experiments", "groups", "hilbert",
            "inference", "measurement", "spin", "variables"]
 

@@ -8,15 +8,14 @@ All of them pass through ``_snap``, the one policy for values outside [0, 1].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert, spin
-from .errors import BadDistribution, DimMismatch, DomainError, NotMaximal
+from .errors import (BadDistribution, DimMismatch, DomainError, NotMaximal, require_count,
+                     require_index)
 from .hilbert import RESIDUAL_TOL
-from .inference import require_count, require_index
 from .variables import AccessibleVariable, is_maximal
 
 OUTCOMES = (+1, -1)  # row/column order of 2x2 joint distributions
@@ -67,26 +66,14 @@ def transition_probability(va: AccessibleVariable, i: int,
 
 @dataclass(frozen=True)
 class TransitionTable:
-    row_name: str
-    col_name: str
-    row_values: np.ndarray
-    col_values: np.ndarray
     matrix: np.ndarray  # [i, j] = P(col var = v_j | row var = u_i)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"{self.row_name}\\{self.col_name}"]
-                       + [str(v) for v in self.col_values])
-            for u, row in zip(self.row_values, self.matrix):
-                w.writerow([str(u)] + [repr(p) for p in row])
 
 
 def transition_table(va: AccessibleVariable, vb: AccessibleVariable) -> TransitionTable:
     """[i, j] = |<a;i|b;j>|^2, all entries at once as |V_a^dag V_b|^2."""
     _require_maximal_pair(va, vb)
     m = np.abs(hilbert.dagger(va.basis) @ vb.basis) ** 2
-    return TransitionTable(va.name, vb.name, va.values, vb.values, _snap(m, va.dim))
+    return TransitionTable(_snap(m, va.dim))
 
 
 def spin_half_transition(a, b, sign: int = +1) -> float:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all avq modules.
+"""Exception hierarchy shared by all avq modules, and the scalar checks
+``require_count``, ``require_index`` and ``require_finite``.
 
 Every contract violation raises ``DomainError``, a ``ValueError``, or a
 subclass of it, so that callers (and the CLI) can tell bad input from
@@ -11,6 +12,8 @@ outside (arguments, files, what a caller's function returns), and a value
 avq builds from checked parts is returned unchecked (``hilbert._unchecked``),
 since its residuals add up those of its parts.  Passed back in, it is input.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -96,3 +99,31 @@ class ZeroProbabilityBranch(DomainError):
     def __init__(self, probability: float):
         super().__init__(f"branch probability {probability!r} below threshold")
         self.probability = probability
+
+
+def require_count(value, low: int, message: str) -> None:
+    """Raise NotInteger unless ``value`` is an int and not a bool, and
+    DomainError(message) if it is below ``low``; a seed has low 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NotInteger(f"expected an int, got {value!r} of type {type(value).__name__}")
+    if value < low:
+        raise DomainError(message)
+
+
+def require_index(value, size: int, what: str) -> None:
+    """Raise NotInteger unless ``value`` is an int and not a bool, and
+    DomainError unless it indexes one of ``size`` items: 0 <= value < size."""
+    message = f"{what} must lie in 0..{size - 1}, got {value!r}"
+    require_count(value, 0, message)
+    if value >= size:
+        raise DomainError(message)
+
+
+def require_finite(what: str, *values) -> None:
+    """Raise NotFinite unless every value is a finite real number."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except TypeError:  # not a real number
+        finite = False
+    if not finite:
+        raise NotFinite(f"{what} must be finite real numbers, got {values}")

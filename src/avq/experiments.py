@@ -23,9 +23,9 @@ from itertools import product
 import numpy as np
 
 from . import born, spin
-from .errors import BadDistribution, DimMismatch, DomainError
-from .hilbert import RESIDUAL_TOL, require
-from .inference import lockstep, require_count, require_finite
+from .errors import BadDistribution, DimMismatch, DomainError, require_count, require_finite
+from .hilbert import RESIDUAL_TOL, _as_numbers, require
+from .inference import lockstep
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
                              # closed-form orthant value is ~0.3918
@@ -124,14 +124,19 @@ class ChshRun:
 
     def write_csv(self, path):
         """The per-trial log, in the csv module's default (excel) format,
-        written one block of trials at a time."""
+        written ``_CSV_ROWS`` trials at a time."""
         with open(path, "w", newline="") as fh:
             fh.write("trial,setting_a,setting_b,outcome_a,outcome_b\r\n")
             for part, ia, ib, cell in self.trials():
                 code = 4 * _pair_index(ia, ib) + cell
-                fh.write("".join([f"{t},{_TRIAL_ROWS[c]}"
-                                  for t, c in enumerate(code.tolist(), part.start)]))
+                for i in range(0, len(code), _CSV_ROWS):
+                    rows = enumerate(code[i:i + _CSV_ROWS].tolist(), part.start + i)
+                    fh.write("".join([f"{t},{_TRIAL_ROWS[c]}" for t, c in rows]))
 
+
+# Trial-log rows per write: their joined string, at most about 47 kB, stays
+# below glibc's 128 kB mmap threshold, so it is not mapped afresh each time.
+_CSV_ROWS = 2**11
 
 # The row of a trial after its number, indexed by 4 * pair index + cell.
 _TRIAL_ROWS = [f"{la},{lb},{oa},{ob}\r\n" for la, lb in PAIRS
@@ -331,7 +336,7 @@ def medical_contrasts():
 
 def _treatment_effects(mu) -> np.ndarray:
     """``mu`` as a float array of four finite treatment effects."""
-    m = np.asarray(mu, dtype=float).reshape(-1)
+    m = _as_numbers(mu, float, "treatment effects").reshape(-1)
     if m.shape != (4,):
         raise DimMismatch(f"expected 4 treatment effects, got {m.size}")
     require_finite("treatment effects", *m.tolist())

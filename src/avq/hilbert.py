@@ -33,9 +33,23 @@ def require(dev, tol: float, error, what: str):
         raise exc
 
 
+def _as_numbers(a, dtype, what: str) -> np.ndarray:
+    """``a`` as an array of ``dtype``, float or complex: an entry that does
+    not convert raises NotFinite, and a ragged nesting DimMismatch."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        reason = str(exc)
+    try:
+        np.asarray(a)
+    except ValueError:  # ragged, so no common shape
+        raise DimMismatch(f"{what} have no common shape") from None
+    raise NotFinite(f"{what} must convert to {dtype.__name__}: {reason}")
+
+
 def as_operator(a) -> np.ndarray:
     """Coerce to a square complex matrix of dim >= 1 with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    m = _as_numbers(a, complex, "operator entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise DimMismatch(f"expected a square matrix of dim >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -47,10 +61,7 @@ def as_operator_stack(ops, what: str) -> np.ndarray:
     """Coerce a non-empty family of d x d matrices, d >= 1, to one (n, d, d)
     complex stack with finite entries; ``what`` names a member in error
     messages."""
-    try:
-        m = np.asarray(ops, dtype=complex)
-    except ValueError as exc:  # ragged, so no common shape
-        raise DimMismatch(f"each {what} must be a d x d matrix of one d: {exc}") from None
+    m = _as_numbers(ops, complex, f"{what} entries")
     if m.shape[:1] == (0,):
         raise BadDistribution(f"need at least one {what}")
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.size == 0:
@@ -62,8 +73,10 @@ def as_operator_stack(ops, what: str) -> np.ndarray:
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a unit-norm complex vector."""
-    s = np.asarray(v, dtype=complex).reshape(-1)
+    """Coerce to a unit-norm complex vector; another shape raises DimMismatch."""
+    s = _as_numbers(v, complex, "state entries")
+    if s.ndim != 1:
+        raise DimMismatch(f"a state is a vector, got shape {s.shape}")
     require(abs(np.linalg.norm(s) - 1.0), RESIDUAL_TOL, DomainError, "state |norm - 1|")
     return s
 
@@ -126,6 +139,19 @@ def require_density(sigma) -> np.ndarray:
     require(abs(np.trace(m).real - 1.0), RESIDUAL_TOL, NotEffect,
             "density operator's |trace - 1|")
     return m
+
+
+def require_probabilities(w, what: str) -> np.ndarray:
+    """``w`` as a 1-D float array, checked to be a probability vector: every
+    weight finite (NotFinite), none negative and |sum - 1| <= RESIDUAL_TOL
+    (BadDistribution, the sum's error carrying its residual)."""
+    w = _as_numbers(w, float, what).reshape(-1)
+    if not np.isfinite(w).all():
+        raise NotFinite(f"{what} {w} are not finite")
+    if np.any(w < 0):
+        raise BadDistribution(f"{what} must be nonnegative")
+    require(abs(w.sum() - 1.0), RESIDUAL_TOL, BadDistribution, f"|sum of {what} - 1|")
+    return w
 
 
 def _unchecked(cls, **fields):

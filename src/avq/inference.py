@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import (BadDistribution, DimMismatch, DomainError, NotFinite, NotInteger,
-                     ZeroEvidence)
+from .errors import (BadDistribution, DimMismatch, DomainError, NotFinite, ZeroEvidence,
+                     require_count, require_finite)
 
 # Samples per block of a large Monte Carlo draw.  A block of float64 draws
-# is 128 kB, so a draw's temporaries stay a few blocks long whatever its
-# size, and the rows of one block of a CHSH trial log, joined into one
-# string, take about 1.3 MB of Python strings.
+# is 128 kB, so a draw's temporaries stay a few blocks long whatever its size.
 _BLOCK = 2**14
 
 
@@ -55,48 +53,6 @@ def lockstep(seed: int, n: int, draws):
         yield part, [draw(start, m) for draw, start in zip(draws, starts)]
 
 
-def require_count(value, low: int, message: str) -> None:
-    """Raise NotInteger unless ``value`` is an int and not a bool, and
-    DomainError(message) if it is below ``low``; a seed has low 0."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise NotInteger(f"expected an int, got {value!r} of type {type(value).__name__}")
-    if value < low:
-        raise DomainError(message)
-
-
-def require_index(value, size: int, what: str) -> None:
-    """Raise NotInteger unless ``value`` is an int and not a bool, and
-    DomainError unless it indexes one of ``size`` items: 0 <= value < size."""
-    message = f"{what} must lie in 0..{size - 1}, got {value!r}"
-    require_count(value, 0, message)
-    if value >= size:
-        raise DomainError(message)
-
-
-def require_finite(what: str, *values) -> None:
-    """Raise NotFinite unless every value is a finite real number."""
-    try:
-        finite = all(map(math.isfinite, values))
-    except TypeError:  # not a real number
-        finite = False
-    if not finite:
-        raise NotFinite(f"{what} must be finite real numbers, got {values}")
-
-
-def require_probabilities(w, what: str) -> np.ndarray:
-    """``w`` as a 1-D float array, checked to be a probability vector: every
-    weight finite (NotFinite), none negative and |sum - 1| <= RESIDUAL_TOL
-    (BadDistribution, the sum's error carrying its residual)."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if not np.isfinite(w).all():
-        raise NotFinite(f"{what} {w} are not finite")
-    if np.any(w < 0):
-        raise BadDistribution(f"{what} must be nonnegative")
-    hilbert.require(abs(w.sum() - 1.0), hilbert.RESIDUAL_TOL, BadDistribution,
-                    f"|sum of {what} - 1|")
-    return w
-
-
 def _std_normal_cdf(x: float) -> float:
     """Phi(x) = erfc(-x / sqrt 2) / 2; erfc keeps the lower tail accurate."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -108,15 +64,14 @@ class DiscretePrior:
     weights: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        v = hilbert._as_numbers(self.values, float, "values").reshape(-1)
+        w = hilbert.require_probabilities(self.weights, "weights")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
         if v.shape != w.shape:
             raise DimMismatch("values and weights must have equal length")
         if not np.isfinite(v).all():
             raise NotFinite(f"values {v} are not finite")
-        require_probabilities(w, "weights")
 
 
 @dataclass(frozen=True)
@@ -159,7 +114,7 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
     if callable(likelihood):
         lik = np.array([float(likelihood(v)) for v in prior.values])
     else:
-        lik = np.asarray(likelihood, dtype=float).reshape(-1)
+        lik = hilbert._as_numbers(likelihood, float, "likelihoods").reshape(-1)
     if lik.shape != prior.weights.shape:
         raise DimMismatch(f"{lik.size} likelihoods for {prior.weights.size} parameter values")
     if not np.isfinite(lik).all():
@@ -214,7 +169,7 @@ def credibility_interval(posterior, level: float) -> IntervalEstimate:
         lo, hi = vals[np.minimum(np.searchsorted(cum, [alpha / 2.0, 1.0 - alpha / 2.0]),
                                  len(vals) - 1)]
     else:
-        samples = np.asarray(posterior, dtype=float).reshape(-1)
+        samples = hilbert._as_numbers(posterior, float, "posterior samples").reshape(-1)
         if samples.size == 0:
             raise DomainError("need at least one posterior sample")
         require_finite("posterior samples' extremes",

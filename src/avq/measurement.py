@@ -23,9 +23,8 @@ import numpy as np
 
 from . import born, hilbert
 from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
-                     ValueMismatch, ZeroProbabilityBranch)
-from .hilbert import RESIDUAL_TOL
-from .inference import require_count, require_index, require_probabilities
+                     ValueMismatch, ZeroProbabilityBranch, require_count, require_index)
+from .hilbert import RESIDUAL_TOL, require_probabilities
 from .variables import VALUE_GAP_TOL, AccessibleVariable
 
 ZERO_BRANCH_TOL = 1e-12
@@ -40,8 +39,8 @@ class StatisticalModel:
     likelihood: np.ndarray  # shape (n_samples, n_parameters)
 
     def __post_init__(self):
-        vals = np.asarray(self.parameter_values, dtype=float).reshape(-1)
-        lik = np.asarray(self.likelihood, dtype=float)
+        vals = hilbert._as_numbers(self.parameter_values, float, "parameter values").reshape(-1)
+        lik = hilbert._as_numbers(self.likelihood, float, "likelihoods")
         object.__setattr__(self, "parameter_values", vals)
         object.__setattr__(self, "sample_points", tuple(self.sample_points))
         object.__setattr__(self, "likelihood", lik)
@@ -129,10 +128,9 @@ def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
 def density_of(pi, v: AccessibleVariable) -> np.ndarray:
     """sigma = sum_j pi_j Pi_j / rank_j; uniform within each eigenspace so
     that the trace is one also for degenerate variables."""
-    w = np.asarray(pi, dtype=float).reshape(-1)
+    w = require_probabilities(pi, "weights")
     if len(w) != len(v.values):
         raise BadDistribution("need one weight per variable value")
-    require_probabilities(w, "weights")
     return v.spectral_sum(w / v.sizes)
 
 

@@ -16,8 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hilbert
-from .errors import DimMismatch, DomainError, NotFinite, NotInteger
-from .inference import require_finite
+from .errors import DimMismatch, DomainError, NotFinite, NotInteger, require_finite
 
 DIRECTION_TOL = 1e-12
 
@@ -39,8 +38,9 @@ def _whole(value, what: str) -> int:
 
 def _direction_array(a, shape) -> np.ndarray:
     """``a`` as floats of ``shape``, 3 for one direction or (-1, 3) for
-    rows of them; a size that does not fit raises DimMismatch."""
-    v = np.asarray(a, dtype=float)
+    rows of them; a size that does not fit raises DimMismatch, and a
+    component that is not a real number NotFinite."""
+    v = hilbert._as_numbers(a, float, "direction components")
     try:
         return v.reshape(shape)
     except ValueError:

@@ -103,7 +103,7 @@ class AccessibleVariable:
 def _on_basis(name, values, basis, sizes) -> AccessibleVariable:
     """A variable on a basis avq has checked or built: only the sizes (which
     split the dimension among the values) and the values are checked."""
-    vals = np.asarray(values, dtype=float).reshape(-1)
+    vals = hilbert._as_numbers(values, float, "values").reshape(-1)
     sizes = np.asarray(sizes, dtype=int).reshape(-1)
     if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
         raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
@@ -132,8 +132,8 @@ def _columns(v: AccessibleVariable, order) -> np.ndarray:
     return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
-def derived_variable(v: AccessibleVariable, t, name=None) -> AccessibleVariable:
-    """The variable t(v): image values with fibers' eigenspaces merged.
+def derived_variable(v: AccessibleVariable, t) -> AccessibleVariable:
+    """The variable t(v), named v.name + "'": fibers' eigenspaces merged.
 
     In value order, an image joins the fiber of the first earlier fiber
     value within VALUE_GAP_TOL of it, or else starts a fiber with its value.
@@ -154,7 +154,7 @@ def derived_variable(v: AccessibleVariable, t, name=None) -> AccessibleVariable:
     sizes = np.bincount(np.cumsum(starts)[head] - 1, weights=v.sizes).astype(int)
     # the basis is v's, regrouped; the values are images under the caller's t
     basis = np.take(v.basis, _columns(v, order), axis=1)
-    return _on_basis(name or f"{v.name}'", images[starts], basis, sizes)
+    return _on_basis(f"{v.name}'", images[starts], basis, sizes)
 
 
 def is_maximal(v: AccessibleVariable) -> bool:
@@ -184,9 +184,8 @@ def state_to_question(s, catalog) -> list:
     return hits
 
 
-def conjugated_variable(v: AccessibleVariable, u, value_action,
-                        name=None) -> AccessibleVariable:
-    """Transform v by a unitary together with a permutation of its values.
+def conjugated_variable(v: AccessibleVariable, u, value_action) -> AccessibleVariable:
+    """Transform v, as v.name + "*", by a unitary and a permutation of its values.
 
     The result's operator is U^dag (operator of v) U; the value list is
     permuted by ``value_action``, which must map the value set onto itself.
@@ -201,7 +200,7 @@ def conjugated_variable(v: AccessibleVariable, u, value_action,
                              "not onto the value list")
     # entry j: value action(u_j), on U^dag times v's eigenvectors for that value
     basis = hilbert.dagger(uu) @ np.take(v.basis, _columns(v, perm), axis=1)
-    return _on_basis(name or f"{v.name}*", new_values, basis, v.sizes[perm])
+    return _on_basis(f"{v.name}*", new_values, basis, v.sizes[perm])
 
 
 def variable_to_dict(v: AccessibleVariable) -> dict:

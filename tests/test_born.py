@@ -270,18 +270,6 @@ class TestJoint:
         assert np.max(np.abs(born.joint(psi, fa, fb) - kron_reference(psi, fa, fb))) < TOL
 
 
-class TestCsvExport:
-    def test_transition_table_csv(self, tmp_path, rng):
-        va = random_maximal_variable(rng, 2, "a")
-        vb = random_maximal_variable(rng, 2, "b")
-        t = born.transition_table(va, vb)
-        path = tmp_path / "table.csv"
-        t.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("a\\b")
-
-
 UP = np.diag([1.0, 0.0]).astype(complex)
 OVER = np.diag([1.0 + 5e-11, 0.0]).astype(complex)  # an effect the checks accept
 

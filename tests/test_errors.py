@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import pathlib
+import sys
 from types import FunctionType
 
 import numpy as np
@@ -199,6 +200,26 @@ EMPTY_STACK = np.zeros((1, 0, 0))
     (lambda: experiments.zeta_contrasts([1, 2, 3, np.nan]), NotFinite, "treatment effects"),
     (lambda: experiments.orthant_conditional(2.0), DomainError, "rho must lie in"),
     (lambda: experiments.plane_direction(np.nan), NotFinite, "angle"),
+    # an entry that is not a number, or a state that is not a vector
+    (lambda: spin.unit("abc"), NotFinite, "direction components must convert to float"),
+    (lambda: spin.as_direction([1j, 0, 0]), NotFinite, "components must convert to float"),
+    (lambda: hilbert.as_operator([["a"]]), NotFinite, "operator entries must convert to"),
+    (lambda: hilbert.as_operator([[1.0, 0.0], [1.0]]), DimMismatch, "no common shape"),
+    (lambda: hilbert.as_state(["a"]), NotFinite, "state entries must convert to complex"),
+    (lambda: hilbert.as_state(EYE2 / np.sqrt(2.0)), DimMismatch, "a state is a vector"),
+    (lambda: inference.DiscretePrior(["a"], [1.0]), NotFinite, "values must convert to float"),
+    (lambda: measurement.density_of(["x", "y"], spin_z()), NotFinite,
+     "weights must convert to float"),
+    (lambda: variables.AccessibleVariable.from_basis("v", ["a", "b"], EYE2, [1, 1]),
+     NotFinite, "values must convert to float"),
+    (lambda: measurement.StatisticalModel(["a"], (0,), [[1.0]]), NotFinite,
+     "parameter values must convert to float"),
+    (lambda: experiments.zeta_contrasts(["a", 1, 2, 3]), NotFinite,
+     "treatment effects must convert to float"),
+    (lambda: inference.bayes_posterior(prior3(), ["a", 1.0, 1.0]), NotFinite,
+     "likelihoods must convert to float"),
+    (lambda: inference.credibility_interval(["a"], 0.9), NotFinite,
+     "posterior samples must convert to float"),
     # a direction has three components
     *[(lambda take=take, a=a: take(a), DimMismatch, f"3 components, got {len(a)} numbers")
       for take in DIRECTION_TAKERS for a in ([0.0, 1.0], [0.0, 0.0, 1.0, 0.0])],
@@ -255,16 +276,19 @@ def test_medical_report_cross_check_carries_its_residual(monkeypatch):
 
 
 def library_offenders(offends) -> list:
-    """"file:line" of each node of avq's source for which ``offends`` holds."""
+    """"file:line" of each node of avq's source for which ``offends(node,
+    module)`` holds, ``module`` being the name of the node's file without
+    ".py"."""
     return [f"{path.name}:{node.lineno}"
             for path in sorted(pathlib.Path(avq.__file__).parent.rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(), str(path))) if offends(node)]
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if offends(node, path.stem)]
 
 
 def test_the_library_neither_asserts_nor_raises_assertion_error():
     """A failed check is a DomainError: no ``assert`` (which ``python -O``
     also strips) and no ``raise AssertionError`` anywhere in avq."""
-    assert library_offenders(lambda node: isinstance(node, ast.Assert) or (
+    assert library_offenders(lambda node, _: isinstance(node, ast.Assert) or (
         isinstance(node, ast.Raise) and node.exc is not None
         and "AssertionError" in ast.unparse(node.exc))) == []
 
@@ -276,7 +300,7 @@ def test_only_the_spin_bands_and_quadrature_are_cached():
     to ``functools.cache`` or ``lru_cache`` in avq, as a decorator or a
     call, is one of those two decorators."""
     caches = ("cache", "lru_cache")
-    found = library_offenders(lambda node: getattr(node, "id", None) in caches
+    found = library_offenders(lambda node, _: getattr(node, "id", None) in caches
                               or getattr(node, "attr", None) in caches)
     assert found == [f"spin.py:{inspect.getsourcelines(cached)[1]}"
                      for cached in (spin._bands, spin._sphere_quadrature)]
@@ -285,8 +309,48 @@ def test_only_the_spin_bands_and_quadrature_are_cached():
 def test_the_library_forms_no_kronecker_product():
     """A joint law of local questions contracts each party's effects with
     the reshaped state (``born.joint``): no ``kron`` call anywhere in avq."""
-    assert library_offenders(lambda node: isinstance(node, ast.Call) and "kron" in (
+    assert library_offenders(lambda node, _: isinstance(node, ast.Call) and "kron" in (
         getattr(node.func, "attr", None), getattr(node.func, "id", None))) == []
+
+
+# avq's modules in the order the paper builds its formalism, the order of the
+# README's module table, between the package, which loads none of them, and
+# ``python -m avq``
+IMPORT_ORDER = ("__init__", "errors", "hilbert", "groups", "spin", "variables", "born",
+                "measurement", "inference", "experiments", "cli", "__main__")
+
+
+def relative_imports(node) -> list:
+    """The names of the avq modules that an import node takes from the package."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return []
+    return [alias.name for alias in node.names] if node.module is None else [node.module]
+
+
+def test_every_import_points_down_the_stack():
+    """Each avq module imports only modules before it in IMPORT_ORDER: the
+    argument checks sit in ``errors`` and ``hilbert``, not in the statistics
+    layer, and ``import avq`` loads no layer."""
+    assert library_offenders(lambda node, module: any(
+        name not in IMPORT_ORDER[:IMPORT_ORDER.index(module)]
+        for name in relative_imports(node))) == []
+
+
+def test_the_library_imports_only_the_standard_library_and_numpy():
+    """numpy is avq's only runtime dependency: every absolute import names a
+    module of the standard library or numpy."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+
+    def outside(node, _):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] not in allowed for name in names)
+
+    assert library_offenders(outside) == []
 
 
 def public_callables():
