@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hilbert, spin
 from .errors import (BadDistribution, DimMismatch, DomainError, NotMaximal, require_count,
-                     require_index)
+                     require_index, require_seed)
 from .hilbert import RESIDUAL_TOL
 from .variables import AccessibleVariable, is_maximal
 
@@ -99,7 +99,7 @@ def crossval(pairs: int, seed: int) -> dict:
     """Proposition 1 on random direction pairs a, b (drawn in that order):
     the worst gap between the two ``spin_half_routes``."""
     require_count(pairs, 1, f"need at least one pair, got {pairs}")
-    require_count(seed, 0, "seed must be non-negative")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):

@@ -1,5 +1,8 @@
-"""Exception hierarchy shared by all avq modules, and the scalar checks
-``require_count``, ``require_index`` and ``require_finite``.
+"""Exception hierarchy shared by all avq modules, and the scalar checks:
+``require_real``, the one check of a number avq takes from outside (an
+argument, or what a caller's function returns), ``require_finite`` on top
+of it, and ``require_count``, ``require_index`` and ``require_seed`` for
+ints.
 
 Every contract violation raises ``DomainError``, a ``ValueError``, or a
 subclass of it, so that callers (and the CLI) can tell bad input from
@@ -101,9 +104,33 @@ class ZeroProbabilityBranch(DomainError):
         self.probability = probability
 
 
+def require_real(value, what: str) -> float:
+    """``value`` as a float if it is a real number other than NaN (an
+    infinity passes); anything else raises NotFinite naming ``what``.
+    Lean enough for a replicate loop: one ``math.isnan`` and one ``float``."""
+    try:
+        if not math.isnan(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a real number, or no float holds it
+        pass
+    raise NotFinite(f"{what} must be real and not NaN, got {value!r}")
+
+
+def require_finite(what: str, *values) -> None:
+    """Raise NotFinite unless every value passes ``require_real`` and is
+    not infinite."""
+    for value in values:
+        try:
+            finite = not math.isinf(require_real(value, what))
+        except NotFinite:
+            finite = False
+        if not finite:
+            raise NotFinite(f"{what} must be finite real numbers, got {values}")
+
+
 def require_count(value, low: int, message: str) -> None:
     """Raise NotInteger unless ``value`` is an int and not a bool, and
-    DomainError(message) if it is below ``low``; a seed has low 0."""
+    DomainError(message) if it is below ``low``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise NotInteger(f"expected an int, got {value!r} of type {type(value).__name__}")
     if value < low:
@@ -119,11 +146,7 @@ def require_index(value, size: int, what: str) -> None:
         raise DomainError(message)
 
 
-def require_finite(what: str, *values) -> None:
-    """Raise NotFinite unless every value is a finite real number."""
-    try:
-        finite = all(map(math.isfinite, values))
-    except TypeError:  # not a real number
-        finite = False
-    if not finite:
-        raise NotFinite(f"{what} must be finite real numbers, got {values}")
+def require_seed(seed) -> None:
+    """A seed is a count from 0: NotInteger unless an int and not a bool,
+    DomainError if negative."""
+    require_count(seed, 0, "seed must be non-negative")

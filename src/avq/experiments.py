@@ -23,7 +23,8 @@ from itertools import product
 import numpy as np
 
 from . import born, spin
-from .errors import BadDistribution, DimMismatch, DomainError, require_count, require_finite
+from .errors import (BadDistribution, DimMismatch, DomainError, require_count, require_finite,
+                     require_real, require_seed)
 from .hilbert import RESIDUAL_TOL, _as_numbers, require
 from .inference import lockstep
 
@@ -78,7 +79,7 @@ class ChshConfig:
     def __post_init__(self):
         require_finite("angles", self.a, self.a_prime, self.b, self.b_prime)
         require_count(self.n_trials, 1, "need at least one trial")
-        require_count(self.seed, 0, "seed must be non-negative")
+        require_seed(self.seed)
 
     def angles(self):
         """(angle a, angle b) of each setting pair, in the order of PAIRS."""
@@ -355,7 +356,8 @@ def psi_transform(mu):
 
 def orthant_conditional(rho: float) -> float:
     """P(Y > 0 | X > 0) for a centered bivariate normal with correlation rho."""
-    if not -1.0 <= rho <= 1.0:  # False for NaN
+    rho = require_real(rho, "correlation rho")
+    if not -1.0 <= rho <= 1.0:
         raise DomainError(f"correlation rho must lie in [-1, 1], got {rho!r}")
     return 0.5 + np.arcsin(rho) / np.pi
 
@@ -380,7 +382,7 @@ def medical_bayes(n_samples: int, seed: int) -> MedicalBayes:
     draw; only the two counts outlive a block.
     """
     require_count(n_samples, 10_000, "need at least 10^4 samples")
-    require_count(seed, 0, "seed must be non-negative")
+    require_seed(seed)
     n_cond = hits = 0
     for _, rows in lockstep(seed, n_samples,
                             [np.random.Generator.standard_normal] * len(_FLOAT_A)):

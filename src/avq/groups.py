@@ -112,8 +112,9 @@ class FiniteGroup:
         for s in self._generators.tolist():
             if not (t[t[:, s]] == np.take(t, t[s], axis=1)).all():
                 raise BadGroupData("Cayley table is not associative")
-        if self.labels is not None and len(self.labels) != n:
-            raise BadGroupData("labels length must equal group order")
+        if self.labels is not None and not (hasattr(self.labels, "__len__")
+                                            and len(self.labels) == n):
+            raise BadGroupData(f"labels length must equal group order, got {self.labels!r}")
 
     @property
     def order(self) -> int:

@@ -34,8 +34,8 @@ def require(dev, tol: float, error, what: str):
 
 
 def _as_numbers(a, dtype, what: str) -> np.ndarray:
-    """``a`` as an array of ``dtype``, float or complex: an entry that does
-    not convert raises NotFinite, and a ragged nesting DimMismatch."""
+    """``a`` as an array of ``dtype``, int, float or complex: an entry that
+    does not convert raises NotFinite, and a ragged nesting DimMismatch."""
     try:
         return np.asarray(a, dtype=dtype)
     except (TypeError, ValueError) as exc:
@@ -101,6 +101,13 @@ def effect_residual(f) -> float:
     reaches beyond [0, 1]: max(-least eigenvalue, greatest eigenvalue - 1)."""
     w = np.linalg.eigvalsh(f)
     return float(max(-w.min(), w.max() - 1.0))
+
+
+def completeness_residual(stack) -> float:
+    """max |sum_j F_j - I| over the entries, for an (n, d, d) stack of
+    effects F_j."""
+    m = np.asarray(stack)
+    return float(np.abs(m.sum(0) - identity(m.shape[-1])).max())
 
 
 def require_hermitian(a) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import (BadDistribution, DimMismatch, DomainError, NotFinite, ZeroEvidence,
-                     require_count, require_finite)
+                     require_count, require_finite, require_real, require_seed)
 
 # Samples per block of a large Monte Carlo draw.  A block of float64 draws
 # is 128 kB, so a draw's temporaries stay a few blocks long whatever its size.
@@ -82,11 +82,33 @@ class SimulationSpec:
 
     def __post_init__(self):
         require_count(self.n, 1, "need at least one replicate")
-        require_count(self.seed, 0, "seed must be non-negative")
+        require_seed(self.seed)
         require_finite("theta", self.theta)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
+
+
+def _interval(ends) -> tuple:
+    """The interval rule: ``ends`` as a (lower, upper) pair of floats, each
+    real and not NaN (an infinite end is an unbounded side), lower <= upper."""
+    try:
+        lower, upper = ends
+    except (TypeError, ValueError):  # not a pair
+        raise NotFinite(f"an interval is a (lower, upper) pair, got {ends!r}") from None
+    lower = require_real(lower, "interval endpoints")
+    upper = require_real(upper, "interval endpoints")
+    if lower > upper:
+        raise DomainError(f"interval endpoints ({lower}, {upper}) are out of order")
+    return lower, upper
+
+
+def _level(level) -> float:
+    """The level rule: ``level`` as a float in (0, 1)."""
+    level = require_real(level, "level")
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must lie in (0, 1), got {level}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -96,13 +118,8 @@ class IntervalEstimate:
     level: float
 
     def __post_init__(self):
-        # an endpoint may be -inf or +inf, an unbounded side, but not NaN
-        require_finite("interval endpoints",
-                       *(x for x in (self.lower, self.upper) if not math.isinf(x)))
-        if self.lower > self.upper:
-            raise DomainError("interval endpoints are out of order")
-        if not (0.0 < self.level < 1.0):
-            raise DomainError("level must lie in (0, 1)")
+        lower, upper = _interval((self.lower, self.upper))
+        vars(self).update(lower=lower, upper=upper, level=_level(self.level))
 
 
 def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
@@ -112,7 +129,7 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
     densities aligned with the prior's values).
     """
     if callable(likelihood):
-        lik = np.array([float(likelihood(v)) for v in prior.values])
+        lik = np.array([require_real(likelihood(v), "a likelihood") for v in prior.values])
     else:
         lik = hilbert._as_numbers(likelihood, float, "likelihoods").reshape(-1)
     if lik.shape != prior.weights.shape:
@@ -131,12 +148,13 @@ def bayes_posterior(prior: DiscretePrior, likelihood) -> DiscretePrior:
 def _replicate_estimates(estimator, sampler, spec: SimulationSpec):
     """Yield estimator(sampler(rng, theta)) as a finite float for each of
     the spec's n replicates, drawn in order from one generator seeded by
-    the spec, keeping one replicate's data at a time.  A non-finite
-    estimate raises NotFinite: it comes from the caller's functions."""
+    the spec, keeping one replicate's data at a time.  An estimate that is
+    not a finite real number raises NotFinite: it comes from the caller's
+    functions."""
     rng = spec.rng()
     for _ in range(spec.n):
-        estimate = float(estimator(sampler(rng, spec.theta)))
-        if not math.isfinite(estimate):
+        estimate = require_real(estimator(sampler(rng, spec.theta)), "an estimate")
+        if math.isinf(estimate):
             raise NotFinite(f"the estimator returned {estimate}, not a finite estimate")
         yield estimate
 
@@ -158,8 +176,7 @@ def mse_decompose(estimator, sampler, spec: SimulationSpec):
 
 def credibility_interval(posterior, level: float) -> IntervalEstimate:
     """Equal-tail interval from posterior samples or a DiscretePrior."""
-    if not (0.0 < level < 1.0):
-        raise DomainError("level must lie in (0, 1)")
+    level = _level(level)
     alpha = 1.0 - level
     if isinstance(posterior, DiscretePrior):
         order = np.argsort(posterior.values)
@@ -181,15 +198,13 @@ def credibility_interval(posterior, level: float) -> IntervalEstimate:
 def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
     """Fraction of replicates whose interval covers the true parameter.
 
-    ``rule(data)`` returns an IntervalEstimate or a (lower, upper) pair,
-    lower <= upper, either end possibly infinite.  Keeps one replicate's
-    data at a time and a count, nothing per replicate.
+    ``rule(data)`` returns an IntervalEstimate or a (lower, upper) pair
+    that keeps the interval rule.  Keeps one replicate's data at a time and
+    a count, nothing per replicate.
     """
     def covers(data) -> bool:
         iv = rule(data)
-        lo, hi = (iv.lower, iv.upper) if isinstance(iv, IntervalEstimate) else iv
-        if not lo <= hi:  # NaN fails too
-            raise DomainError(f"the rule returned ({lo}, {hi}), not an interval")
+        lo, hi = (iv.lower, iv.upper) if isinstance(iv, IntervalEstimate) else _interval(iv)
         return lo <= spec.theta <= hi
 
     return sum(_replicate_estimates(covers, sampler, spec)) / spec.n
@@ -198,14 +213,10 @@ def confidence_coverage(rule, sampler, spec: SimulationSpec) -> float:
 def p_value_one_sided(sampler, estimator, observed: float, spec: SimulationSpec) -> float:
     """Monte Carlo P(estimate(X) > observed) under the null parameter.
 
-    Strict inequality.  Keeps one replicate's data at a time and a count,
-    nothing per replicate.
+    Strict inequality; ``observed`` may be infinite.  Keeps one replicate's
+    data at a time and a count, nothing per replicate.
     """
-    if observed == -np.inf:
-        return 1.0
-    if observed == np.inf:
-        return 0.0
-    require_finite("observed", observed)
+    observed = require_real(observed, "observed")
     estimates = _replicate_estimates(estimator, sampler, spec)
     return sum(est > observed for est in estimates) / spec.n
 

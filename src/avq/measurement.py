@@ -23,7 +23,8 @@ import numpy as np
 
 from . import born, hilbert
 from .errors import (BadDistribution, DimMismatch, NotDiagonal, NotEffect, NotFinite,
-                     ValueMismatch, ZeroProbabilityBranch, require_count, require_index)
+                     ValueMismatch, ZeroProbabilityBranch, require_count, require_index,
+                     require_seed)
 from .hilbert import RESIDUAL_TOL, require_probabilities
 from .variables import VALUE_GAP_TOL, AccessibleVariable
 
@@ -49,6 +50,8 @@ class StatisticalModel:
         if lik.shape != (len(self.sample_points), len(vals)):
             raise DimMismatch(f"likelihood shape {lik.shape} does not match "
                               f"{len(self.sample_points)} samples x {len(vals)} values")
+        if len(vals) == 0:
+            raise BadDistribution("a model needs at least one parameter value")
         if not (np.isfinite(vals).all() and np.isfinite(lik).all()):
             raise NotFinite("parameter values and likelihoods must be finite")
         if np.any(lik < -RESIDUAL_TOL) or np.any(lik > 1.0 + RESIDUAL_TOL):
@@ -111,8 +114,8 @@ class Povm:
                         NotEffect, "max |F - F^dag| over the effects")
         hilbert.require(hilbert.effect_residual(effs), RESIDUAL_TOL, NotEffect,
                         "effects' spectral excess beyond [0, 1]")
-        hilbert.require(np.abs(effs.sum(0) - hilbert.identity(effs.shape[1])).max(),
-                        RESIDUAL_TOL, BadDistribution, "max |sum of effects - I|")
+        hilbert.require(hilbert.completeness_residual(effs), RESIDUAL_TOL, BadDistribution,
+                        "max |sum of effects - I|")
 
 
 def povm_of_model(m: StatisticalModel, v: AccessibleVariable) -> Povm:
@@ -169,8 +172,8 @@ class KrausInstrument:
         effects.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "effects", effects)
-        hilbert.require(np.abs(effects.sum(0) - hilbert.identity(ops.shape[1])).max(),
-                        RESIDUAL_TOL, BadDistribution, "max |sum of A_j^dag A_j - I|")
+        hilbert.require(hilbert.completeness_residual(effects), RESIDUAL_TOL,
+                        BadDistribution, "max |sum of A_j^dag A_j - I|")
 
 
 def branch_probabilities(k: KrausInstrument, sigma) -> np.ndarray:
@@ -222,7 +225,7 @@ def random_check(cases: int, seed: int) -> dict:
     residuals over random models in dimension 2-5, each with the diagonal
     instrument diag(sqrt(p(x|.))) and a random prior."""
     require_count(cases, 1, f"need at least one case, got {cases}")
-    require_count(seed, 0, "seed must be non-negative")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     povm_worst = kraus_worst = bayes_worst = 0.0
     for _ in range(cases):
@@ -235,8 +238,7 @@ def random_check(cases: int, seed: int) -> dict:
             "v", np.arange(d, dtype=float),
             tuple(np.outer(e, e).astype(complex) for e in np.eye(d)))
         povm = povm_of_model(model, var)
-        povm_worst = max(povm_worst, float(np.max(np.abs(
-            povm.effects.sum(0) - hilbert.identity(d)))))
+        povm_worst = max(povm_worst, hilbert.completeness_residual(povm.effects))
         amp = np.sqrt(lik)
         inst = KrausInstrument(tuple(np.diag(amp[k]).astype(complex) for k in range(nx)))
         prior = rng.random(d)

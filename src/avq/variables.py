@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimMismatch, DomainError, NotPermutation, NotProjector
+from .errors import DimMismatch, DomainError, NotPermutation, NotProjector, require_real
 
 # values closer than this are one value; eig_hermitian's levels lie farther apart
 VALUE_GAP_TOL = hilbert.EIGEN_MERGE_TOL
@@ -104,7 +104,7 @@ def _on_basis(name, values, basis, sizes) -> AccessibleVariable:
     """A variable on a basis avq has checked or built: only the sizes (which
     split the dimension among the values) and the values are checked."""
     vals = hilbert._as_numbers(values, float, "values").reshape(-1)
-    sizes = np.asarray(sizes, dtype=int).reshape(-1)
+    sizes = hilbert._as_numbers(sizes, int, "sizes").reshape(-1)
     if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
         raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
                           f"among {len(vals)} values")
@@ -138,7 +138,7 @@ def derived_variable(v: AccessibleVariable, t) -> AccessibleVariable:
     In value order, an image joins the fiber of the first earlier fiber
     value within VALUE_GAP_TOL of it, or else starts a fiber with its value.
     """
-    images = np.array([float(t(u)) for u in v.values])
+    images = np.array([require_real(t(u), "an image under t") for u in v.values])
     k = len(images)
     # near[j, i]: image i comes before image j and lies within the gap of it
     near = np.abs(images[:, None] - images) <= VALUE_GAP_TOL
@@ -191,7 +191,8 @@ def conjugated_variable(v: AccessibleVariable, u, value_action) -> AccessibleVar
     permuted by ``value_action``, which must map the value set onto itself.
     """
     uu = hilbert.require_unitary(u)
-    new_values = np.array([float(value_action(x)) for x in v.values])
+    new_values = np.array([require_real(value_action(x), "an image under the value action")
+                           for x in v.values])
     # each image must land back on the value list, bijectively
     hits = np.abs(new_values[:, None] - v.values) <= VALUE_GAP_TOL
     perm = hits.argmax(axis=1)

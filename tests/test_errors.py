@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import pathlib
+import re
 import sys
 from types import FunctionType
 
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avq
-from avq import born, experiments, groups, hilbert, inference, measurement, spin, variables
+from avq import (born, errors, experiments, groups, hilbert, inference, measurement, spin,
+                 variables)
 from avq.errors import (BadDistribution, BadGroupData, BadShape, DimMismatch, DomainError,
                         NotFinite, NotHermitian, NotInteger, NotProjector, NotUnitary)
 
@@ -159,25 +161,73 @@ EMPTY_STACK = np.zeros((1, 0, 0))
     # what the caller's estimator, rule or likelihood returns is input too
     (lambda: inference.mse_decompose(lambda d: np.nan, lambda rng, th: None,
                                      inference.SimulationSpec(5, 1)),
-     NotFinite, "estimator returned nan"),
+     NotFinite, "an estimate must be real and not NaN, got nan"),
     (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: np.nan, 0.0,
                                          inference.SimulationSpec(5, 1)),
-     NotFinite, "estimator returned nan"),
+     NotFinite, "an estimate must be real and not NaN, got nan"),
     (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: -np.inf, 0.0,
                                          inference.SimulationSpec(5, 1)),
      NotFinite, "estimator returned -inf"),
     (lambda: inference.confidence_coverage(lambda d: (np.nan, 1.0), lambda rng, th: None,
                                            inference.SimulationSpec(5, 1)),
-     DomainError, "\\(nan, 1.0\\), not an interval"),
+     NotFinite, "interval endpoints must be real and not NaN, got nan"),
     (lambda: inference.confidence_coverage(lambda d: (2.0, 1.0), lambda rng, th: None,
                                            inference.SimulationSpec(5, 1)),
-     DomainError, "\\(2.0, 1.0\\), not an interval"),
+     DomainError, "endpoints \\(2.0, 1.0\\) are out of order"),
     (lambda: inference.bayes_posterior(inference.DiscretePrior([0.0, 1.0], [0.5, 0.5]),
                                        [np.inf, 1.0]),
      NotFinite, "likelihood .* is not finite"),
     (lambda: inference.bayes_posterior(inference.DiscretePrior([0.0, 1.0], [0.5, 0.5]),
                                        [-1.0, 2.0]),
      BadDistribution, "likelihood .* must be nonnegative"),
+    # a scalar or a callback's value that is not a real number, or is NaN, is
+    # NotFinite; an interval out of order, or a level or rho out of range,
+    # is a DomainError
+    (lambda: inference.bayes_posterior(prior3(), lambda v: "a"), NotFinite,
+     "a likelihood must be real and not NaN, got 'a'"),
+    (lambda: inference.mse_decompose(lambda d: "a", lambda rng, th: None,
+                                     inference.SimulationSpec(5, 1)),
+     NotFinite, "an estimate must be real and not NaN, got 'a'"),
+    (lambda: inference.p_value_one_sided(lambda rng, th: None, lambda d: None, 0.0,
+                                         inference.SimulationSpec(5, 1)),
+     NotFinite, "an estimate must be real and not NaN, got None"),
+    (lambda: inference.confidence_coverage(lambda d: None, lambda rng, th: None,
+                                           inference.SimulationSpec(5, 1)),
+     NotFinite, "a \\(lower, upper\\) pair, got None"),
+    (lambda: inference.confidence_coverage(lambda d: ("a", "b"), lambda rng, th: None,
+                                           inference.SimulationSpec(5, 1)),
+     NotFinite, "interval endpoints must be real and not NaN, got 'a'"),
+    (lambda: inference.confidence_coverage(lambda d: (0.0, 1.0, 2.0), lambda rng, th: None,
+                                           inference.SimulationSpec(5, 1)),
+     NotFinite, "a \\(lower, upper\\) pair, got \\(0.0, 1.0, 2.0\\)"),
+    (lambda: inference.IntervalEstimate("a", 1.0, 0.9), NotFinite,
+     "interval endpoints must be real and not NaN, got 'a'"),
+    (lambda: inference.IntervalEstimate(0.0, 1.0, "x"), NotFinite,
+     "level must be real and not NaN, got 'x'"),
+    (lambda: inference.IntervalEstimate(0.0, 1.0, np.nan), NotFinite,
+     "level must be real and not NaN, got nan"),
+    (lambda: inference.credibility_interval([1.0, 2.0], "x"), NotFinite,
+     "level must be real and not NaN, got 'x'"),
+    (lambda: variables.derived_variable(spin_z(), lambda u: "a"), NotFinite,
+     "an image under t must be real and not NaN, got 'a'"),
+    (lambda: variables.conjugated_variable(spin_z(), EYE2, lambda x: None), NotFinite,
+     "an image under the value action must be real and not NaN, got None"),
+    (lambda: experiments.orthant_conditional("x"), NotFinite,
+     "correlation rho must be real and not NaN, got 'x'"),
+    (lambda: experiments.orthant_conditional(np.nan), NotFinite,
+     "correlation rho must be real and not NaN, got nan"),
+    (lambda: inference.SimulationSpec(10, 1, theta="a"), NotFinite,
+     "theta must be finite real numbers, got \\('a',\\)"),
+    # sizes are whole numbers, a model has a parameter value, and a group
+    # one label per element
+    (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], np.eye(2), "ab"),
+     NotFinite, "sizes must convert to int"),
+    (lambda: measurement.StatisticalModel([], (), np.zeros((0, 0))), BadDistribution,
+     "at least one parameter value"),
+    (lambda: measurement.StatisticalModel([], (0,), np.zeros((1, 0))), BadDistribution,
+     "at least one parameter value"),
+    (lambda: groups.FiniteGroup(np.zeros((1, 1), int), labels=5), BadGroupData,
+     "labels length must equal group order, got 5"),
     (lambda: spin.rotation(1, [0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
     (lambda: spin.rotation_matrix([0.0, 0.0, 1.0], np.nan), NotFinite, "omega"),
     # a likelihood per parameter value: one does not broadcast
@@ -283,6 +333,38 @@ def library_offenders(offends) -> list:
             for path in sorted(pathlib.Path(avq.__file__).parent.rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if offends(node, path.stem)]
+
+
+@pytest.mark.parametrize("value, want", [
+    (2, 2.0), (-0.5, -0.5), (True, 1.0), (np.float32(0.25), 0.25), (np.int64(3), 3.0),
+    (np.inf, np.inf), (-np.inf, -np.inf)])
+def test_require_real_passes_a_real_number_as_a_float(value, want):
+    got = errors.require_real(value, "x")
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.float32("nan"), "1.5", None, 1j, 10**400,
+                                   [1.0, 2.0]])
+def test_require_real_rejects_nan_and_non_numbers(value):
+    with pytest.raises(NotFinite, match=re.escape(f"x must be real and not NaN, got {value!r}")):
+        errors.require_real(value, "x")
+
+
+@pytest.mark.parametrize("values", [(np.inf,), (0.0, -np.inf), (np.nan,), ("a",), (0.0, None)])
+def test_require_finite_rejects_what_require_real_does_and_infinities(values):
+    message = f"x must be finite real numbers, got {values}"
+    with pytest.raises(NotFinite, match=re.escape(message)):
+        errors.require_finite("x", *values)
+
+
+@pytest.mark.parametrize("text", ["must be real and not NaN", "seed must be non-negative",
+                                  "level must lie in", "are out of order",
+                                  "at least one parameter value"])
+def test_each_rule_is_stated_once(text):
+    """The real-number check and the seed, level, interval and model rules
+    each have one definition, so their message appears once in avq."""
+    assert len(library_offenders(lambda node, _: isinstance(node, ast.Constant)
+                                 and isinstance(node.value, str) and text in node.value)) == 1
 
 
 def test_the_library_neither_asserts_nor_raises_assertion_error():

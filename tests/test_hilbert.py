@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import hilbert, measurement, variables
-from avq.errors import (DimMismatch, NotEffect, NotFinite, NotHermitian, NotProjector,
-                        NotUnitary)
+from avq.errors import (BadDistribution, DimMismatch, NotEffect, NotFinite, NotHermitian,
+                        NotProjector, NotUnitary)
 
 from conftest import SX, SY, SZ, random_hermitian, random_state, random_unitary
 
@@ -154,6 +154,41 @@ class TestPredicates:
         m = np.diag([bad, 1.0])
         with pytest.raises(NotFinite, match="operator entries must be finite"):
             check(m)
+
+
+class TestCompletenessResidual:
+    def test_value(self):
+        stack = np.stack([np.diag([1.0, 0.25]), np.diag([0.0, 0.5])]).astype(complex)
+        assert hilbert.completeness_residual(stack) == 0.25
+
+    def test_povm_and_instrument_errors_carry_it(self):
+        stack = np.stack([np.diag([0.5, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        with pytest.raises(BadDistribution) as povm:
+            measurement.Povm(stack)
+        with pytest.raises(BadDistribution) as kraus:
+            measurement.KrausInstrument(np.sqrt(stack))
+        assert povm.value.residual == hilbert.completeness_residual(stack) == 0.5
+        assert kraus.value.residual == hilbert.completeness_residual(np.sqrt(stack) ** 2)
+
+    def test_random_check_reports_it(self):
+        """The reported POVM residual is the worst completeness_residual of
+        the random models' POVMs, rebuilt here from the same draws."""
+        report = measurement.random_check(5, 11)
+        draws = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(5):
+            d, nx = int(draws.integers(2, 6)), int(draws.integers(2, 5))
+            lik = draws.random((nx, d))
+            lik /= lik.sum(axis=0, keepdims=True)
+            draws.random(d)  # the prior
+            var = variables.AccessibleVariable("v", np.arange(d, dtype=float),
+                                               tuple(np.diag(e).astype(complex)
+                                                     for e in np.eye(d)))
+            model = measurement.StatisticalModel(np.arange(d, dtype=float), tuple(range(nx)),
+                                                 lik)
+            worst = max(worst, hilbert.completeness_residual(
+                measurement.povm_of_model(model, var).effects))
+        assert report["povm_completeness_residual"] == worst
 
 
 @settings(max_examples=25, deadline=None)

@@ -143,6 +143,11 @@ class TestCredibilityInterval:
         assert (iv.lower, iv.upper) == (-np.inf, np.inf)
         assert inference.IntervalEstimate(np.inf, np.inf, 0.5).lower == np.inf
 
+    def test_fields_are_the_checked_floats(self):
+        iv = inference.IntervalEstimate(np.float64(-1.0), 2, np.float32(0.5))
+        assert (iv.lower, iv.upper, iv.level) == (-1.0, 2.0, 0.5)
+        assert all(type(x) is float for x in (iv.lower, iv.upper, iv.level))
+
 
 class TestConfidenceCoverage:
     def test_always_rule(self):
@@ -156,6 +161,14 @@ class TestConfidenceCoverage:
         cov = inference.confidence_coverage(
             lambda data: (1.0, 1.0), lambda rng, th: None, spec)
         assert cov == 0.0
+
+    def test_an_interval_estimate_rule_counts_as_its_pair(self):
+        spec = inference.SimulationSpec(200, 2, theta=0.5)
+        for lower, upper, want in ((0.0, 1.0, 1.0), (0.6, np.inf, 0.0)):
+            cov = inference.confidence_coverage(
+                lambda data: inference.IntervalEstimate(lower, upper, 0.9),
+                lambda rng, th: None, spec)
+            assert cov == want
 
     def test_normal_mean_interval(self):
         n = 9
