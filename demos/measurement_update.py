@@ -30,7 +30,7 @@ def main():
 
     prior = [0.5, 0.5]
     sigma = measurement.density_of(prior, v)
-    q = measurement.evidence(sigma)
+    q = measurement.Evidence(sigma)
     print()
     print(f"evidence of each effect under the uniform prior state: "
           f"{[round(q(f), 3) for f in povm.effects]}")

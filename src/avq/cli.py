@@ -127,6 +127,7 @@ def _require_seed(args, parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; its default ``subparsers`` maps each subcommand to its parser."""
     p = argparse.ArgumentParser(prog="avq")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -187,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_count, default=None)
     common(sp)
 
+    p.set_defaults(subparsers=sub.choices)
     return p
 
 
@@ -251,7 +253,7 @@ def _cmd_medical(args, parser):
     if args.n is None:
         parser.error("--n is required")
     _require_seed(args, parser)
-    return experiments.medical_report(args.n, args.seed).to_dict()
+    return dataclasses.asdict(experiments.medical_report(args.n, args.seed))
 
 
 def _cmd_measure(args, parser):
@@ -352,9 +354,8 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", nargs="?")  # a missing path is the real parse's error
     config = pre.parse_known_args(argv[1:])[0].config
-    commands = parser._subparsers._group_actions[0].choices
-    if config is not None and argv[0] in commands:
-        argv[1:1] = _config_args(commands[argv[0]], config)
+    if config is not None and argv[0] in _COMMANDS:
+        argv[1:1] = _config_args(parser.get_default("subparsers")[argv[0]], config)
     args = parser.parse_args(argv)
     try:
         report = _COMMANDS[args.command](args, parser)

@@ -16,16 +16,16 @@ drawn again from its seed whenever they are read.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from . import born, spin
-from .errors import (BadDistribution, DimMismatch, DomainError, require_count, require_finite,
-                     require_real, require_seed)
-from .hilbert import RESIDUAL_TOL, _as_numbers, require
+from .errors import (BadDistribution, DomainError, require_count, require_finite, require_real,
+                     require_seed)
+from .hilbert import RESIDUAL_TOL, require
 from .inference import lockstep
 
 PAPER_REPORTED_BAYES = 0.43  # figure quoted by the source example; the
@@ -308,13 +308,6 @@ _CONTRAST_B = [Fraction(-1, 3), Fraction(1), Fraction(-1, 3), Fraction(-1, 3)]
 _FLOAT_A = np.array([float(c) for c in _CONTRAST_A])
 _FLOAT_B = np.array([float(c) for c in _CONTRAST_B])
 
-# Orthogonal half-coefficient transform to the contrast subspace.
-PSI_MATRIX = [[Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
-              [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)],
-              [Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)],
-              [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)]]
-_FLOAT_PSI = np.array(PSI_MATRIX, dtype=float)
-
 QUANTUM_DIRECTION_A = spin.unit([-1.0, -1.0, -1.0])
 QUANTUM_DIRECTION_B = spin.unit([-1.0, 1.0, 1.0])
 
@@ -333,25 +326,6 @@ def medical_contrasts():
            [dot(_CONTRAST_B, _CONTRAST_A), dot(_CONTRAST_B, _CONTRAST_B)]]
     rho = cov[0][1] / cov[0][0]
     return cov, rho
-
-
-def _treatment_effects(mu) -> np.ndarray:
-    """``mu`` as a float array of four finite treatment effects."""
-    m = _as_numbers(mu, float, "treatment effects").reshape(-1)
-    if m.shape != (4,):
-        raise DimMismatch(f"expected 4 treatment effects, got {m.size}")
-    require_finite("treatment effects", *m.tolist())
-    return m
-
-
-def zeta_contrasts(mu) -> tuple:
-    m = _treatment_effects(mu)
-    return float(_FLOAT_A @ m), float(_FLOAT_B @ m)
-
-
-def psi_transform(mu):
-    """Apply the orthogonal half-coefficient transform; norm preserving."""
-    return tuple(float(x) for x in _FLOAT_PSI @ _treatment_effects(mu))
 
 
 def orthant_conditional(rho: float) -> float:
@@ -415,9 +389,6 @@ class MedicalResult:
     mc_se: float
     quantum: float
     paper_reported: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def medical_report(n_samples: int, seed: int) -> MedicalResult:

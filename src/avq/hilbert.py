@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (BadDistribution, BadShape, DimMismatch, DomainError, NotEffect,
-                     NotFinite, NotHermitian, NotProjector, NotUnitary)
+                     NotFinite, NotHermitian, NotUnitary)
 
 # Each check of an operator identity (or a norm, trace or spectrum) bounds
 # its max-abs residual; eigenvalue merging is relative to the value's scale.
@@ -123,13 +123,6 @@ def require_unitary(a) -> np.ndarray:
     return m
 
 
-def require_projector(p) -> np.ndarray:
-    m = as_operator(p)
-    require(hermitian_residual(m), RESIDUAL_TOL, NotProjector, "max |P - P^dag|")
-    require(np.max(np.abs(m @ m - m)), RESIDUAL_TOL, NotProjector, "max |P^2 - P|")
-    return m
-
-
 def require_effect(f) -> np.ndarray:
     """0 <= F <= I within tolerance (Hermitian with spectrum in [0, 1])."""
     m = as_operator(f)
@@ -185,20 +178,6 @@ def eig_hermitian(h) -> tuple:
         if u - w[starts[-1]] > EIGEN_MERGE_TOL * (1.0 + abs(u)):
             starts.append(k)
     return w[starts], vecs, np.diff(starts + [len(w)])
-
-
-def conjugate(u, a) -> np.ndarray:
-    """U^dag A U for unitary U; preserves the spectrum of A."""
-    uu = require_unitary(u)
-    return dagger(uu) @ as_operator(a) @ uu
-
-
-def trace_product(a, b) -> complex:
-    """trace(A B) as an explicit contraction sum_ik A_ik B_ki."""
-    ma, mb = as_operator(a), as_operator(b)
-    if ma.shape != mb.shape:
-        raise DimMismatch(f"shapes {ma.shape} and {mb.shape} differ")
-    return complex(np.einsum("ik,ki->", ma, mb))
 
 
 # Structured-text (JSON-compatible) forms used by the CLI.

@@ -1,5 +1,5 @@
 """Measurement-side machinery: likelihood effects, POVMs, density
-construction, evidence functionals, and Kraus updates.
+construction, the evidence functional ``Evidence``, and Kraus updates.
 
 A POVM's effects and an instrument's Kraus operators are each held as one
 read-only (n, d, d) complex stack of their own, so building, checking and
@@ -9,7 +9,7 @@ and its branch probabilities and updates read them.
 
 A statistical model here is a finite likelihood table p(x | value); its
 likelihood effect for an observed x combines the table with a variable's
-eigenprojectors.  Evidence is deliberately a function of (state, effect)
+eigenprojectors.  ``Evidence`` is deliberately a function of (state, effect)
 only: two models with equal effects are indistinguishable downstream.
 The POVM of a model, the density of weights and a Kraus posterior are built
 from checked inputs and returned without a second check.
@@ -71,11 +71,6 @@ class StatisticalModel:
         parameters, samples, likelihood = hilbert.json_fields(
             d, "model", parameters=float, samples=list, likelihood=float)
         return cls(parameters, tuple(samples), likelihood)
-
-    def to_dict(self) -> dict:
-        return {"parameters": self.parameter_values.tolist(),
-                "samples": list(self.sample_points),
-                "likelihood": self.likelihood.tolist()}
 
 
 def _require_matching(m: StatisticalModel, v: AccessibleVariable):
@@ -152,10 +147,6 @@ class Evidence:
         return float(born.probabilities(self.sigma, hilbert.require_effect(f)[None])[0])
 
 
-def evidence(sigma) -> Evidence:
-    return Evidence(sigma)
-
-
 @dataclass(frozen=True)
 class KrausInstrument:
     """Kraus operators as one (n, d, d) stack with sum_j A_j^dag A_j = I,
@@ -188,17 +179,20 @@ def kraus_update(k: KrausInstrument, sigma, j: int):
     eigenvalue of -1e-11 at p_j = 0.01 can become -1e-9), so a second
     update, which checks sigma_j as its input, may reject it."""
     require_index(j, len(k.kraus), "branch j")
-    return _update(k, hilbert.require_density(sigma), j)
-
-
-def _update(k: KrausInstrument, sigma: np.ndarray, j: int):
-    """``kraus_update`` on a density sigma avq has checked or built."""
-    p = float(born.probabilities(sigma, k.effects[j:j + 1])[0])
-    if p <= ZERO_BRANCH_TOL:
-        raise ZeroProbabilityBranch(p)
+    sigma = hilbert.require_density(sigma)
+    p = _branch_probability(k, sigma, j)
     a = k.kraus[j]
     post = a @ sigma @ hilbert.dagger(a) / p
     return p, (post + hilbert.dagger(post)) / 2.0  # strip roundoff asymmetry
+
+
+def _branch_probability(k: KrausInstrument, sigma: np.ndarray, j: int) -> float:
+    """p_j for a density sigma avq has checked or built; a branch of
+    (numerically) zero probability has no posterior, and raises."""
+    p = float(born.probabilities(sigma, k.effects[j:j + 1])[0])
+    if p <= ZERO_BRANCH_TOL:
+        raise ZeroProbabilityBranch(p)
+    return p
 
 
 def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
@@ -213,9 +207,11 @@ def diagonal_kraus_vs_bayes(k: KrausInstrument, prior, j: int):
     w = require_probabilities(prior, "prior weights")
     require_index(j, n, "branch j")
     # diag(w) of a checked probability vector is a density: no second check
-    p, post = _update(k, np.diag(w).astype(complex), j)
-    kraus_posterior = np.real(np.diag(post))
-    lik = np.abs(np.diagonal(k.kraus[j])) ** 2
+    p = _branch_probability(k, np.diag(w).astype(complex), j)
+    # the diagonal of A diag(w) A^dag / p, for the diagonal A = diag(a)
+    a = np.diagonal(k.kraus[j])
+    kraus_posterior = np.real(a * w * np.conj(a) / p)
+    lik = np.abs(a) ** 2
     bayes_posterior = w * lik / np.sum(w * lik)
     return kraus_posterior, bayes_posterior
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import DimMismatch, DomainError, NotPermutation, NotProjector, require_real
+from .errors import (DimMismatch, DomainError, NotInteger, NotPermutation, NotProjector,
+                     require_real)
 
 # values closer than this are one value; eig_hermitian's levels lie farther apart
 VALUE_GAP_TOL = hilbert.EIGEN_MERGE_TOL
@@ -101,10 +102,12 @@ class AccessibleVariable:
 
 
 def _on_basis(name, values, basis, sizes) -> AccessibleVariable:
-    """A variable on a basis avq has checked or built: only the sizes (which
-    split the dimension among the values) and the values are checked."""
+    """A variable on a basis avq has checked or built: only the sizes (whole
+    numbers splitting the dimension among the values) and the values are checked."""
     vals = hilbert._as_numbers(values, float, "values").reshape(-1)
-    sizes = hilbert._as_numbers(sizes, int, "sizes").reshape(-1)
+    given, sizes = sizes, hilbert._as_numbers(sizes, int, "sizes").reshape(-1)
+    if (sizes != np.asarray(given, dtype=float).reshape(-1)).any():
+        raise NotInteger(f"sizes must be whole numbers, got {given!r}")
     if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
         raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
                           f"among {len(vals)} values")
@@ -119,10 +122,6 @@ def _on_basis(name, values, basis, sizes) -> AccessibleVariable:
 class QuestionAnswer:
     question: str   # variable name
     answer: float
-
-
-def operator_of(v: AccessibleVariable) -> np.ndarray:
-    return v.spectral_sum(v.values)
 
 
 def _columns(v: AccessibleVariable, order) -> np.ndarray:
@@ -202,12 +201,6 @@ def conjugated_variable(v: AccessibleVariable, u, value_action) -> AccessibleVar
     # entry j: value action(u_j), on U^dag times v's eigenvectors for that value
     basis = hilbert.dagger(uu) @ np.take(v.basis, _columns(v, perm), axis=1)
     return _on_basis(f"{v.name}*", new_values, basis, v.sizes[perm])
-
-
-def variable_to_dict(v: AccessibleVariable) -> dict:
-    return {"name": v.name,
-            "values": v.values.tolist(),
-            "projectors": [hilbert.operator_to_dict(p) for p in v.projectors]}
 
 
 def variable_from_dict(d: dict) -> AccessibleVariable:

@@ -6,6 +6,7 @@ degrees), at which s = E(a,b) - E(a,b') + E(a',b) + E(a',b') equals
 -2*sqrt(2).
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -121,7 +122,7 @@ def test_criterion_08_evidence_additivity():
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 7))
-        q = measurement.evidence(random_density(rng, d))
+        q = measurement.Evidence(random_density(rng, d))
         v1, v2 = random_state(rng, d), random_state(rng, d)
         f1 = 0.5 * np.outer(v1, np.conj(v1))
         f2 = 0.5 * np.outer(v2, np.conj(v2))
@@ -191,8 +192,8 @@ def test_criterion_11_determinism():
     chsh_ok = (np.array_equal(r1.outcome_a, r2.outcome_a)
                and np.array_equal(r1.outcome_b, r2.outcome_b)
                and r1.s_statistic == r2.s_statistic)
-    m1 = experiments.medical_report(10 ** 5, 11).to_dict()
-    m2 = experiments.medical_report(10 ** 5, 11).to_dict()
+    m1 = dataclasses.asdict(experiments.medical_report(10 ** 5, 11))
+    m2 = dataclasses.asdict(experiments.medical_report(10 ** 5, 11))
     med_ok = json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
     spec = inference.SimulationSpec(10 ** 5, 11)
     p_ok = inference.prop2_experiment(-1.0, 1.0, spec) == \

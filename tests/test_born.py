@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from avq import born, hilbert, measurement, spin, variables
 from avq.errors import DimMismatch, DomainError, NotMaximal, NotProjector
 
-from conftest import (SX, random_density, random_instrument, random_maximal_variable,
+from conftest import (SX, SY, random_density, random_instrument, random_maximal_variable,
                       random_state, random_unitary)
 
 TOL = hilbert.RESIDUAL_TOL
@@ -86,7 +86,8 @@ class TestBornProjector:
 
     def test_rejects_non_projector(self):
         with pytest.raises(NotProjector):
-            hilbert.require_projector(0.5 * np.eye(2))
+            variables.AccessibleVariable("v", [0.0, 1.0],
+                                         (np.diag([0.5, 0.0]), np.diag([0.5, 1.0])))
 
 
 class TestBornDensity:
@@ -124,6 +125,35 @@ class TestLikelihoodDensity:
         f = np.diag([0.8, 0.2]).astype(complex)
         sigma = np.diag([0.5, 0.5]).astype(complex)
         assert born_rule(sigma, f) == pytest.approx(0.5)
+
+
+class TestTrace:
+    """born.probabilities is the library's trace tr(F sigma)."""
+
+    def test_identity_pair(self):
+        for d in (1, 2, 5):
+            assert born_rule(np.eye(d) / d, np.eye(d)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_state_projector(self):
+        assert born_rule(np.eye(2) / 2, np.diag([1.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
+
+    def test_pauli_orthogonality(self):
+        """tr(SX SY) = 0, so tr((I + SX)/2 (I + SY)/2) = 1/2."""
+        eye = np.eye(2)
+        assert born_rule((eye + SX) / 2, (eye + SY) / 2) == pytest.approx(0.5, abs=1e-12)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            born.probabilities(np.eye(2) / 2, np.eye(3)[None])
+
+    def test_cyclicity(self, rng):
+        """tr(F U sigma U^dag) = tr(U^dag F U sigma)."""
+        for _ in range(30):
+            d = int(rng.integers(2, 8))
+            sigma, u = random_density(rng, d), random_unitary(rng, d)
+            f = pure(random_state(rng, d))
+            turned = born_rule(sigma, hilbert.dagger(u) @ f @ u)
+            assert born_rule(u @ sigma @ hilbert.dagger(u), f) == pytest.approx(turned, abs=1e-9)
 
 
 class TestSpinHalfTransition:
@@ -300,10 +330,10 @@ class TestOnePolicy:
 
     @pytest.mark.parametrize("entry", [
         lambda: born.probabilities(UP, OVER[None])[0],
-        lambda: measurement.evidence(UP)(OVER),
+        lambda: measurement.Evidence(UP)(OVER),
         lambda: measurement.kraus_update(over_instrument(), UP, 0)[0],
         lambda: measurement.branch_probabilities(over_instrument(), UP)[0],
-        lambda: measurement.evidence(UP)(measurement.likelihood_effect(over_model(),
+        lambda: measurement.Evidence(UP)(measurement.likelihood_effect(over_model(),
                                                                        z_basis(), 0)),
         lambda: born.transition_probability(over_basis(), 0, over_basis(), 0),
         lambda: born.transition_table(over_basis(), over_basis()).matrix[0, 0],
@@ -346,10 +376,10 @@ class TestOnePolicy:
         entries = [
             lambda: born.probabilities(sm, hilbert.require_effect(f)[None]),
             lambda: born.probabilities(sm, measurement.Povm([f, np.eye(d) - f]).effects),
-            lambda: measurement.evidence(sigma)(f),
+            lambda: measurement.Evidence(sigma)(f),
             lambda: measurement.branch_probabilities(inst, sigma),
             lambda: measurement.kraus_update(inst, sigma, 0)[0],
-            lambda: measurement.evidence(sigma)(measurement.likelihood_effect(model, va, 0)),
+            lambda: measurement.Evidence(sigma)(measurement.likelihood_effect(model, va, 0)),
             lambda: born.transition_probability(va, 0, vb, 0),
             lambda: born.transition_table(va, vb).matrix,
             lambda: born.spin_half_transition(a, b, +1),

@@ -139,7 +139,7 @@ EMPTY_STACK = np.zeros((1, 0, 0))
      "state of dim 3 for effects of dim 2"),
     (lambda: measurement.diagonal_kraus_vs_bayes(which_path(), [0.2, 0.3, 0.5], 0),
      DimMismatch, "state of dim 3 for effects of dim 2"),
-    (lambda: measurement.evidence(np.eye(3) / 3)(EYE2), DimMismatch,
+    (lambda: measurement.Evidence(np.eye(3) / 3)(EYE2), DimMismatch,
      "state of dim 3 for effects of dim 2"),
     (lambda: born.joint(np.full(4, 0.5), EYE2[None], np.eye(3)[None]), DimMismatch,
      "state of dim 4 for parties of dims \\(2, 3\\)"),
@@ -222,6 +222,8 @@ EMPTY_STACK = np.zeros((1, 0, 0))
     # one label per element
     (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], np.eye(2), "ab"),
      NotFinite, "sizes must convert to int"),
+    (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], EYE2, [1.9, 1.2]),
+     NotInteger, "sizes must be whole numbers, got \\[1.9, 1.2\\]"),
     (lambda: measurement.StatisticalModel([], (), np.zeros((0, 0))), BadDistribution,
      "at least one parameter value"),
     (lambda: measurement.StatisticalModel([], (0,), np.zeros((1, 0))), BadDistribution,
@@ -244,10 +246,7 @@ EMPTY_STACK = np.zeros((1, 0, 0))
     (lambda: groups.invariant_measure(ROTATION, ["a", "b"]), BadGroupData, "real numbers"),
     (lambda: groups.invariant_measure(ROTATION).mass([7]), BadGroupData,
      "points must be indices in 0..2"),
-    # four finite treatment effects and a correlation in [-1, 1]
-    (lambda: experiments.zeta_contrasts([1, 2, 3]), DimMismatch, "4 treatment effects"),
-    (lambda: experiments.psi_transform([1, 2, 3]), DimMismatch, "4 treatment effects"),
-    (lambda: experiments.zeta_contrasts([1, 2, 3, np.nan]), NotFinite, "treatment effects"),
+    # a correlation in [-1, 1]
     (lambda: experiments.orthant_conditional(2.0), DomainError, "rho must lie in"),
     (lambda: experiments.plane_direction(np.nan), NotFinite, "angle"),
     # an entry that is not a number, or a state that is not a vector
@@ -264,8 +263,6 @@ EMPTY_STACK = np.zeros((1, 0, 0))
      NotFinite, "values must convert to float"),
     (lambda: measurement.StatisticalModel(["a"], (0,), [[1.0]]), NotFinite,
      "parameter values must convert to float"),
-    (lambda: experiments.zeta_contrasts(["a", 1, 2, 3]), NotFinite,
-     "treatment effects must convert to float"),
     (lambda: inference.bayes_posterior(prior3(), ["a", 1.0, 1.0]), NotFinite,
      "likelihoods must convert to float"),
     (lambda: inference.credibility_interval(["a"], 0.9), NotFinite,
@@ -280,8 +277,7 @@ EMPTY_STACK = np.zeros((1, 0, 0))
         lambda: hilbert.require_unitary(EMPTY),
         lambda: hilbert.require_effect(EMPTY),
         lambda: hilbert.require_density(EMPTY),
-        lambda: hilbert.conjugate(EMPTY, EMPTY),
-        lambda: measurement.evidence(EMPTY),
+        lambda: measurement.Evidence(EMPTY),
         lambda: variables.AccessibleVariable.from_operator("v", EMPTY),
         lambda: variables.AccessibleVariable.from_basis("v", [], EMPTY, []),
         lambda: variables.AccessibleVariable("v", [0.0], EMPTY_STACK),
@@ -433,6 +429,61 @@ def test_the_library_imports_only_the_standard_library_and_numpy():
         return any(name.split(".")[0] not in allowed for name in names)
 
     assert library_offenders(outside) == []
+
+
+# The public names that only tests read so far, each with the ROADMAP item
+# that gives it a caller; when that item lands, it removes the name here.
+AWAITING_A_CALLER = {
+    "refines": 2, "action_to_dict": 2, "action_from_dict": 2,
+    "rotation_matrix": 2,  # the SO(3) side of the spin covariance check
+    "invariant_measure": 3, "InvariantMeasure": 3,
+    "credibility_interval": 4,
+    "state_to_question": 7, "QuestionAnswer": 7,
+    "kraus_update": 10,
+}
+
+
+def names_read(node) -> set:
+    """Every name that ``node`` reads, as a bare name or as an attribute."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def uncalled_public_names() -> set:
+    """The public module-level functions and classes of avq that no caller
+    outside tests reaches.  The callers are the modules' top-level code, the
+    demos, the benchmark (its own tests aside) and, in turn, every definition
+    they reach; a definition's reads of its own name do not count.  Names
+    are matched by name alone, so a read of ``x.f`` reaches every ``f``."""
+    reads, reached = {}, set()
+    for path in sorted(pathlib.Path(avq.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads[node.name] = names_read(node) - {node.name}
+            else:
+                reached |= names_read(node)
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    for path in sorted([*(repo / "demos").glob("*.py"), *(repo / "avqbench").glob("*.py")]):
+        if not path.name.startswith("test_"):
+            reached |= names_read(ast.parse(path.read_text(), str(path)))
+    live, frontier = set(), reached & reads.keys()
+    while frontier:
+        live |= frontier
+        frontier = set().union(*(reads[name] for name in frontier)) & reads.keys() - live
+    return {name for name in reads if not name.startswith("_")} - live
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A helper that only tests read is deleted, or its fact is stated by a
+    definition that has a caller; only the names awaiting a ROADMAP item's
+    caller are exempt."""
+    assert uncalled_public_names() - AWAITING_A_CALLER.keys() == set()
+
+
+def test_each_name_awaiting_a_caller_is_defined_and_uncalled():
+    """The exemptions only shrink: a name that is gone, or that has gained a
+    caller, leaves AWAITING_A_CALLER."""
+    assert AWAITING_A_CALLER.keys() - uncalled_public_names() == set()
 
 
 def public_callables():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -317,40 +318,41 @@ class TestMedicalContrasts:
         assert rho == Fraction(-1, 3)
 
     def test_zeta_values(self):
-        za, zb = experiments.zeta_contrasts([3.0, 0.0, 0.0, 0.0])
-        assert za == pytest.approx(3.0)
-        assert zb == pytest.approx(-1.0)
+        mu = [3.0, 0.0, 0.0, 0.0]
+        assert experiments._FLOAT_A @ mu == pytest.approx(3.0)
+        assert experiments._FLOAT_B @ mu == pytest.approx(-1.0)
+
+
+# The orthogonal half-coefficient transform to the contrast subspace.
+PSI = [[Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
+       [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)],
+       [Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)],
+       [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)]]
 
 
 class TestPsiTransform:
     def test_ones_vector(self):
-        assert np.allclose(experiments.psi_transform([1, 1, 1, 1]),
-                           [2.0, 0.0, 0.0, 0.0])
-
-    def test_zero_vector(self):
-        assert np.allclose(experiments.psi_transform([0, 0, 0, 0]), 0.0)
+        assert [sum(row) for row in PSI] == [2, 0, 0, 0]
 
     def test_norm_preserving(self):
-        g = np.random.default_rng(4)
-        mu = g.normal(size=4)
-        psi = experiments.psi_transform(mu)
+        mu = np.random.default_rng(4).normal(size=4)
+        psi = np.array(PSI, dtype=float) @ mu
         assert np.linalg.norm(psi) == pytest.approx(np.linalg.norm(mu), abs=1e-12)
 
     def test_orthogonal_in_rationals(self):
-        m = experiments.PSI_MATRIX
         for i in range(4):
             for j in range(4):
-                dot = sum(m[i][k] * m[j][k] for k in range(4))
+                dot = sum(PSI[i][k] * PSI[j][k] for k in range(4))
                 assert dot == (1 if i == j else 0)
 
     def test_zeta_identities(self):
-        g = np.random.default_rng(8)
-        for _ in range(10):
-            mu = g.normal(size=4)
-            za, zb = experiments.zeta_contrasts(mu)
-            _, p1, p2, p3 = experiments.psi_transform(mu)
-            assert za == pytest.approx(-2.0 / 3.0 * (p1 + p2 + p3), abs=1e-12)
-            assert zb == pytest.approx(-2.0 / 3.0 * (p1 - p2 - p3), abs=1e-12)
+        """The two contrasts, exactly, in the contrast rows psi_1..psi_3."""
+        _, p1, p2, p3 = PSI
+        for contrast, signs in ((experiments._CONTRAST_A, (1, 1, 1)),
+                                (experiments._CONTRAST_B, (1, -1, -1))):
+            assert contrast == [Fraction(-2, 3) * sum(s * row[k] for s, row in
+                                                      zip(signs, (p1, p2, p3)))
+                                for k in range(4)]
 
 
 class TestOrthant:
@@ -406,8 +408,7 @@ class TestMedicalQuantum:
 
 class TestMedicalReport:
     def test_fields(self):
-        res = experiments.medical_report(50000, 21)
-        d = res.to_dict()
+        d = dataclasses.asdict(experiments.medical_report(50000, 21))
         assert set(d) == {"rho", "bayes_closed", "bayes_mc", "mc_se",
                           "quantum", "paper_reported"}
         assert d["rho"] == pytest.approx(-1.0 / 3.0)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import hilbert, measurement, variables
-from avq.errors import (BadDistribution, DimMismatch, NotEffect, NotFinite, NotHermitian,
-                        NotProjector, NotUnitary)
+from avq.errors import BadDistribution, NotEffect, NotFinite, NotHermitian, NotProjector
 
-from conftest import SX, SY, SZ, random_hermitian, random_state, random_unitary
+from conftest import SX, random_hermitian, random_state
 
 
 def decompose(h):
@@ -57,7 +56,7 @@ class TestEigHermitian:
             d = int(rng.integers(2, 13))
             h = random_hermitian(rng, d)
             dec = decompose(h)
-            assert np.max(np.abs(variables.operator_of(dec) - h)) < 1e-8
+            assert np.max(np.abs(dec.spectral_sum(dec.values) - h)) < 1e-8
             assert np.max(np.abs(dec.spectral_sum(np.ones(len(dec.sizes))) - np.eye(d))) < 1e-10
             for i, p in enumerate(dec.projectors):
                 for j, q in enumerate(dec.projectors):
@@ -65,61 +64,14 @@ class TestEigHermitian:
                     assert np.max(np.abs(p @ q - expect)) < 1e-10
 
 
-class TestConjugate:
-    def test_identity(self, rng):
-        a = random_hermitian(rng, 3)
-        assert np.allclose(hilbert.conjugate(np.eye(3), a), a)
-
-    def test_pauli(self):
-        assert np.allclose(hilbert.conjugate(SX, SZ), -SZ)
-
-    def test_spectrum_preserved(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(2, 8))
-            u = random_unitary(rng, d)
-            a = random_hermitian(rng, d)
-            c = hilbert.conjugate(u, a)
-            assert hilbert.hermitian_residual(c) <= 1e-9
-            assert np.max(np.abs(np.linalg.eigvalsh(c)
-                                 - np.linalg.eigvalsh(a))) < 1e-8
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            hilbert.conjugate(2.0 * np.eye(2), SZ)
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        for d in (1, 2, 5):
-            assert abs(hilbert.trace_product(np.eye(d), np.eye(d)) - d) < 1e-12
-
-    def test_state_projector(self):
-        proj = np.diag([1.0, 0.0])
-        assert abs(hilbert.trace_product(np.eye(2) / 2, proj) - 0.5) < 1e-12
-
-    def test_pauli_orthogonality(self):
-        assert abs(hilbert.trace_product(SX, SY)) < 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            hilbert.trace_product(np.eye(2), np.eye(3))
-
-    def test_cyclicity(self, rng):
-        for _ in range(30):
-            d = int(rng.integers(2, 8))
-            a, b, c = (random_hermitian(rng, d) for _ in range(3))
-            abc = hilbert.trace_product(a @ b, c)
-            cab = hilbert.trace_product(c @ a, b)
-            assert abs(abc - cab) < 1e-9
-
-
 class TestPredicates:
     def test_projector_checks(self, rng):
+        """A variable checks its own projectors."""
         v = random_state(rng, 4)
         p = np.outer(v, np.conj(v))
-        hilbert.require_projector(p)
+        variables.AccessibleVariable("v", [0.0, 1.0], (p, np.eye(4) - p))
         with pytest.raises(NotProjector):
-            hilbert.require_projector(0.5 * p)
+            variables.AccessibleVariable("v", [0.0, 1.0], (0.5 * p, np.eye(4) - 0.5 * p))
 
     def test_effect_bounds(self):
         hilbert.require_effect(0.3 * np.eye(2))
@@ -145,11 +97,9 @@ class TestPredicates:
     @pytest.mark.parametrize("check", [
         hilbert.require_density,
         hilbert.require_hermitian,
-        lambda m: hilbert.trace_product(np.eye(2), m),
-        lambda m: hilbert.trace_product(m, np.eye(2)),
-        measurement.evidence(np.eye(2) / 2),
-    ], ids=["require_density", "require_hermitian", "trace_product_right",
-            "trace_product_left", "evidence_call"])
+        hilbert.require_effect,
+        measurement.Evidence(np.eye(2) / 2),
+    ], ids=["require_density", "require_hermitian", "require_effect", "evidence_call"])
     def test_operator_rejects_non_finite(self, check, bad):
         m = np.diag([bad, 1.0])
         with pytest.raises(NotFinite, match="operator entries must be finite"):
@@ -197,7 +147,7 @@ def test_eig_roundtrip_property(seed, d):
     g = np.random.default_rng(seed)
     h = random_hermitian(g, d)
     dec = decompose(h)
-    assert np.max(np.abs(variables.operator_of(dec) - h)) < 1e-8
+    assert np.max(np.abs(dec.spectral_sum(dec.values) - h)) < 1e-8
 
 
 class TestSerialization:

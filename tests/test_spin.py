@@ -130,7 +130,7 @@ class TestRotation:
                 a = random_direction(rng)
                 omega = rng.uniform(0, 2 * np.pi)
                 u = spin.rotation(two_r, n, omega)
-                lhs = hilbert.conjugate(u, spin.component_operator(two_r, a))
+                lhs = hilbert.dagger(u) @ spin.component_operator(two_r, a) @ u
                 rhs = spin.component_operator(
                     two_r, spin.rotation_matrix(n, omega) @ a)
                 assert np.max(np.abs(lhs - rhs)) < 1e-9

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avq import hilbert, spin, variables
-from avq.errors import DimMismatch, DomainError, NotPermutation
+from avq.errors import DimMismatch, DomainError, NotPermutation, NotUnitary
 
-from conftest import SX, random_maximal_variable, random_unitary
+from conftest import SX, SZ, random_hermitian, random_maximal_variable, random_unitary
 
 
 def spin_half_z():
@@ -31,30 +31,32 @@ class TestAccessibleVariable:
                 "v", [1.0], (np.diag([1.0, 0.0]).astype(complex),))
 
 
-class TestOperatorOf:
+class TestOperator:
+    """A variable's operator is the spectral sum of its values."""
+
     def test_constant_variable(self):
         v = variables.AccessibleVariable("c", [1.0], (np.eye(3, dtype=complex),))
-        assert np.allclose(variables.operator_of(v), np.eye(3))
+        assert np.allclose(v.spectral_sum(v.values), np.eye(3))
 
     def test_spin_half_z(self):
-        assert np.allclose(variables.operator_of(spin_half_z()),
-                           spin.spin_operators(1).az)
+        v = spin_half_z()
+        assert np.allclose(v.spectral_sum(v.values), spin.spin_operators(1).az)
 
     def test_pauli_x_projectors_roundtrip(self):
         eye = np.eye(2)
         v = variables.AccessibleVariable("x", [1.0, 2.0],
                                          ((eye + SX) / 2, (eye - SX) / 2))
-        a = variables.operator_of(v)
+        a = v.spectral_sum(v.values)
         back = variables.AccessibleVariable.from_operator("x", a)
         assert np.allclose(np.sort(back.values), [1.0, 2.0])
-        assert np.max(np.abs(variables.operator_of(back) - a)) < 1e-10
+        assert np.max(np.abs(back.spectral_sum(back.values) - a)) < 1e-10
 
     def test_random_roundtrip(self, rng):
         for _ in range(100):
             d = int(rng.integers(2, 9))
             v = random_maximal_variable(rng, d)
             back = variables.AccessibleVariable.from_operator(
-                v.name, variables.operator_of(v))
+                v.name, v.spectral_sum(v.values))
             order = np.argsort(v.values)
             assert np.max(np.abs(np.sort(back.values) - v.values[order])) < 1e-8
             for k, j in enumerate(np.argsort(back.values)):
@@ -107,7 +109,7 @@ class TestDerivedVariable:
         v = random_maximal_variable(rng, 5)
         w = variables.derived_variable(v, lambda u: round(u))
         expect = sum(round(u) * p for u, p in zip(v.values, v.projectors))
-        assert np.max(np.abs(variables.operator_of(w) - expect)) < 1e-10
+        assert np.max(np.abs(w.spectral_sum(w.values) - expect)) < 1e-10
 
 
 def derived_by_scan(v, t):
@@ -188,7 +190,7 @@ def test_planted_degeneracy_property(seed, mults, levels):
     v = variables.AccessibleVariable.from_operator("h", h)
     assert np.max(np.abs(v.values - levels)) < 1e-8
     assert v.sizes.tolist() == mults
-    assert np.max(np.abs(variables.operator_of(v) - h)) < 1e-8
+    assert np.max(np.abs(v.spectral_sum(v.values) - h)) < 1e-8
     projs = v.projectors
     assert np.max(np.abs(sum(projs) - np.eye(d))) < 1e-10
     for i, p in enumerate(projs):
@@ -271,8 +273,37 @@ class TestConjugatedVariable:
         u = spin.rotation(1, [1.0, 0.0, 0.0], np.pi)
         w = variables.conjugated_variable(v, u, lambda m: -m)
         assert sorted(w.values.tolist()) == [-0.5, 0.5]
-        expect = hilbert.conjugate(u, variables.operator_of(v))
-        assert np.max(np.abs(variables.operator_of(w) - expect)) < 1e-10
+        expect = hilbert.dagger(u) @ v.spectral_sum(v.values) @ u
+        assert np.max(np.abs(w.spectral_sum(w.values) - expect)) < 1e-10
+
+    def test_identity_on_any_operator(self, rng):
+        a = random_hermitian(rng, 3)
+        w = variables.conjugated_variable(variables.AccessibleVariable.from_operator("a", a),
+                                          np.eye(3), lambda x: x)
+        assert np.allclose(w.spectral_sum(w.values), a)
+
+    def test_pauli(self):
+        w = variables.conjugated_variable(variables.AccessibleVariable.from_operator("z", SZ),
+                                          SX, lambda x: x)
+        assert np.allclose(w.spectral_sum(w.values), -SZ)
+
+    def test_spectrum_preserved(self, rng):
+        """The operator of a conjugated variable is U^dag A U: Hermitian, with
+        A's spectrum."""
+        for _ in range(20):
+            d = int(rng.integers(2, 8))
+            u = random_unitary(rng, d)
+            a = random_hermitian(rng, d)
+            w = variables.conjugated_variable(variables.AccessibleVariable.from_operator("a", a),
+                                              u, lambda x: x)
+            c = w.spectral_sum(w.values)
+            assert np.max(np.abs(c - hilbert.dagger(u) @ a @ u)) < 1e-8
+            assert hilbert.hermitian_residual(c) <= 1e-9
+            assert np.max(np.abs(np.linalg.eigvalsh(c) - np.linalg.eigvalsh(a))) < 1e-8
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(NotUnitary):
+            variables.conjugated_variable(spin_half_z(), 2.0 * np.eye(2), lambda x: x)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(NotPermutation):
@@ -284,7 +315,7 @@ class TestConjugatedVariable:
             v = random_maximal_variable(rng, 4)
             u = random_unitary(rng, 4)
             w = variables.conjugated_variable(v, u, lambda x: x)
-            a = variables.operator_of(w)
+            a = w.spectral_sum(w.values)
             assert np.max(np.abs(np.sort(np.linalg.eigvalsh(a))
                                  - np.sort(v.values))) < 1e-8
 
@@ -350,7 +381,9 @@ class TestSerialization:
     @pytest.mark.parametrize("make", [spin_squared, random_qutrit])
     def test_roundtrip(self, make):
         v = make()
-        back = variables.variable_from_dict(variables.variable_to_dict(v))
+        doc = {"name": v.name, "values": v.values.tolist(),
+               "projectors": [hilbert.operator_to_dict(p) for p in v.projectors]}
+        back = variables.variable_from_dict(doc)
         assert back.name == v.name
         assert np.allclose(back.values, v.values)
         assert back.sizes.tolist() == v.sizes.tolist()
