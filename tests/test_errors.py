@@ -277,6 +277,7 @@ EMPTY_STACK = np.zeros((1, 0, 0))
         lambda: hilbert.require_unitary(EMPTY),
         lambda: hilbert.require_effect(EMPTY),
         lambda: hilbert.require_density(EMPTY),
+        lambda: variables.conjugated_variable(spin_z(), EMPTY, lambda x: x),
         lambda: measurement.Evidence(EMPTY),
         lambda: variables.AccessibleVariable.from_operator("v", EMPTY),
         lambda: variables.AccessibleVariable.from_basis("v", [], EMPTY, []),

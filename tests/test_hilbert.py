@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from avq import hilbert, measurement, variables
 from avq.errors import BadDistribution, NotEffect, NotFinite, NotHermitian, NotProjector
 
-from conftest import SX, random_hermitian, random_state
+from conftest import SX, SZ, random_hermitian, random_state
 
 
 def decompose(h):
@@ -98,8 +98,12 @@ class TestPredicates:
         hilbert.require_density,
         hilbert.require_hermitian,
         hilbert.require_effect,
+        hilbert.require_unitary,
+        lambda u: variables.conjugated_variable(
+            variables.AccessibleVariable.from_operator("z", SZ), u, lambda x: x),
         measurement.Evidence(np.eye(2) / 2),
-    ], ids=["require_density", "require_hermitian", "require_effect", "evidence_call"])
+    ], ids=["require_density", "require_hermitian", "require_effect", "require_unitary",
+            "conjugated_variable_unitary", "evidence_call"])
     def test_operator_rejects_non_finite(self, check, bad):
         m = np.diag([bad, 1.0])
         with pytest.raises(NotFinite, match="operator entries must be finite"):
