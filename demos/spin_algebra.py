@@ -8,7 +8,7 @@ the identity by sphere quadrature.
 
 import numpy as np
 
-from avq import hilbert, spin
+from avq import spin
 
 
 def main():

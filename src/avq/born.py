@@ -1,13 +1,15 @@
-"""Born probabilities: ``probabilities``, the Born rule p = tr(sigma F) for
-a stack of effects; ``joint``, the law of local questions that separate
-parties ask of one pure state, with the two-qubit singlet law as a case;
-transition tables between maximal variables; the spin-1/2 closed form
-and ``spin_half_routes``, the same law through the abstract route.
-All of them pass through ``_snap``, the one policy for values outside [0, 1].
+"""Born probabilities: ``probabilities``, the one Born law, for local
+questions that any number of parties ask of one pure state or density
+(one party gives p = tr(sigma F) for a stack of effects), with the
+two-qubit singlet law as a case; transition tables between maximal
+variables; the spin-1/2 closed form and ``spin_half_routes``, the same law
+through the abstract route.  All of them pass through ``_snap``, the one
+policy for values outside [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +40,32 @@ def _snap(p, d: int):
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
-def probabilities(sigma, effects) -> np.ndarray:
-    """The Born rule p_k = Re tr(F_k sigma) for each effect of an (n, d, d)
-    stack, through ``_snap``.  The caller checks sigma and the effects
-    (``hilbert.require_density``, ``require_effect``, a ``Povm`` or a
-    ``KrausInstrument``); a pure state |s> enters as sigma = |s><s|."""
-    if effects.shape[-1] != len(sigma):
-        raise DimMismatch(f"a state of dim {len(sigma)} for effects of dim {effects.shape[-1]}")
-    return _snap(np.einsum("nik,ki->n", effects, sigma).real, len(sigma))
+def probabilities(state, *effects) -> np.ndarray:
+    """The Born law of local questions that k parties ask of one state, with
+    an (n_i, d_i, d_i) effect stack per party and D = d_1 ... d_k: entry
+    [j_1, ..., j_k] is Re <psi| F_{j_1} x ... x F_{j_k} |psi> for a (D,) pure
+    state psi and Re tr(rho F_{j_1} x ... x F_{j_k}) for a (D, D) density
+    rho, through ``_snap``; one party gives p_j = Re tr(F_j rho).  It is one
+    einsum over the state reshaped to the parties' dims, with no Kronecker
+    product, whose plain loop over all 3k indices is cheap for a few qubits;
+    larger parties need a pairwise contraction order.  The caller checks the
+    state and the effects (``hilbert.require_density``, ``require_effect``,
+    a ``Povm`` or a ``KrausInstrument``)."""
+    dims = tuple(f.shape[-1] for f in effects)
+    d = math.prod(dims)
+    if len(state) != d:
+        raise DimMismatch(f"a state of dim {len(state)} for effects of dim "
+                          + " x ".join(map(str, dims)))
+    k = len(effects)
+    bra, ket, out = list(range(k)), list(range(k, 2 * k)), list(range(2 * k, 3 * k))
+    operands = []
+    for f, n, i, j in zip(effects, out, bra, ket):
+        operands += [f, [n, i, j]]
+    if state.ndim == 1:
+        operands = [np.conj(state).reshape(dims), bra, *operands, state.reshape(dims), ket]
+    else:
+        operands += [state.reshape(dims + dims), ket + bra]
+    return _snap(np.einsum(*operands, out).real, d)
 
 
 def _require_maximal_pair(va: AccessibleVariable, vb: AccessibleVariable):
@@ -110,27 +130,6 @@ def crossval(pairs: int, seed: int) -> dict:
     return {"pairs": pairs, "max_deviation": worst}
 
 
-def joint(psi, *effects) -> np.ndarray:
-    """The joint Born law of local questions on a pure state psi on
-    C^{d_1} x ... x C^{d_k}, with an (n_i, d_i, d_i) effect stack per party:
-    entry [j_1, ..., j_k] is <psi| F_{j_1} x ... x F_{j_k} |psi>, through
-    ``_snap`` at d = psi.size.  It is one einsum over psi reshaped to
-    (d_1, ..., d_k), with no Kronecker product.  That einsum's plain loop
-    runs over all 3k indices (d^{3k} terms), cheap for a few qubits; larger
-    parties need a pairwise contraction order.  The caller checks psi and
-    the effects, as for ``probabilities``."""
-    dims = tuple(f.shape[-1] for f in effects)
-    if psi.size != np.prod(dims):
-        raise DimMismatch(f"a state of dim {psi.size} for parties of dims {dims}")
-    k = len(effects)
-    bra, ket, out = range(k), range(k, 2 * k), range(2 * k, 3 * k)
-    operands = [np.conj(psi).reshape(dims), list(bra)]
-    for f, n, i, j in zip(effects, out, bra, ket):
-        operands += [f, [n, i, j]]
-    p = np.einsum(*operands, psi.reshape(dims), list(ket), list(out)).real
-    return _snap(p, psi.size)
-
-
 # (|+-> - |-+>)/sqrt2 in the z-basis product ordering (+ first)
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -148,4 +147,4 @@ def singlet_joint(a, b) -> np.ndarray:
     along a and b: entry [i, j] is the probability of (OUTCOMES[i],
     OUTCOMES[j]), so the correlation E[alpha beta], the signed sum
     (joint * outer(OUTCOMES, OUTCOMES)).sum(), equals -a.b."""
-    return joint(_SINGLET, _sign_projectors(a), _sign_projectors(b))
+    return probabilities(_SINGLET, _sign_projectors(a), _sign_projectors(b))

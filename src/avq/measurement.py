@@ -5,7 +5,7 @@ A POVM's effects and an instrument's Kraus operators are each held as one
 read-only (n, d, d) complex stack of their own, so building, checking and
 applying a family is a few batched numpy calls rather than one per operator.  An instrument
 also holds its effects A_j^dag A_j, which its completeness check computes,
-and its branch probabilities and updates read them.
+and its branch probabilities and updates read them through ``born.probabilities``.
 
 A statistical model here is a finite likelihood table p(x | value); its
 likelihood effect for an observed x combines the table with a variable's

@@ -105,17 +105,18 @@ def _on_basis(name, values, basis, sizes) -> AccessibleVariable:
     """A variable on a basis avq has checked or built: only the sizes (whole
     numbers splitting the dimension among the values) and the values are checked."""
     vals = hilbert._as_numbers(values, float, "values").reshape(-1)
-    given, sizes = sizes, hilbert._as_numbers(sizes, int, "sizes").reshape(-1)
-    if (sizes != np.asarray(given, dtype=float).reshape(-1)).any():
+    # checked as floats, so that no size outside int64 reaches the int cast
+    given, sizes = sizes, hilbert._as_numbers(sizes, float, "sizes").reshape(-1)
+    if (sizes != np.floor(sizes)).any():
         raise NotInteger(f"sizes must be whole numbers, got {given!r}")
     if len(vals) != len(sizes) or sizes.sum() != len(basis) or (sizes < 1).any():
-        raise DimMismatch(f"sizes {sizes} do not split dim {len(basis)} "
+        raise DimMismatch(f"sizes {given} do not split dim {len(basis)} "
                           f"among {len(vals)} values")
     ordered = np.sort(vals)
     if not (np.isfinite(ordered).all() and (np.diff(ordered) > VALUE_GAP_TOL).all()):
         raise DomainError(f"values {vals} are not finite and distinct")
     return hilbert._unchecked(AccessibleVariable, name=name, values=vals, basis=basis,
-                              sizes=sizes)
+                              sizes=sizes.astype(int))
 
 
 @dataclass(frozen=True)

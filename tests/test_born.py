@@ -246,12 +246,13 @@ def kron_reference(psi, fa, fb) -> np.ndarray:
 
 
 class TestJoint:
-    """born.joint, the Born law of local questions on one pure state."""
+    """born.probabilities on several parties: the Born law of local
+    questions on one pure state or density."""
 
     def test_one_party_is_the_born_rule(self, rng):
         for d in range(1, 9):
             psi, f = random_state(rng, d), random_effects(rng, d)
-            assert np.max(np.abs(born.joint(psi, f) - born.probabilities(pure(psi), f))) \
+            assert np.max(np.abs(born.probabilities(psi, f) - born.probabilities(pure(psi), f))) \
                 < TOL
 
     def test_marginals_are_the_reduced_laws(self, rng):
@@ -259,7 +260,7 @@ class TestJoint:
             da, db = (int(n) for n in rng.integers(1, 5, size=2))
             psi = random_state(rng, da * db)
             fa, fb = random_effects(rng, da), random_effects(rng, db)
-            p = born.joint(psi, fa, fb)
+            p = born.probabilities(psi, fa, fb)
             t = psi.reshape(da, db)
             rho_a = np.einsum("ab,cb->ac", t, np.conj(t))
             rho_b = np.einsum("ab,ac->bc", t, np.conj(t))
@@ -276,8 +277,8 @@ class TestJoint:
             psi, law = np.ones(1), np.ones(())
             for s, f in zip(states, stacks):
                 psi = np.multiply.outer(psi, s).ravel()
-                law = np.multiply.outer(law, born.joint(s, f))
-            assert np.max(np.abs(born.joint(psi, *stacks) - law)) < TOL
+                law = np.multiply.outer(law, born.probabilities(s, f))
+            assert np.max(np.abs(born.probabilities(psi, *stacks) - law)) < TOL
 
     def test_ghz_signs_multiply_to_one(self):
         """(|000> + |111>)/sqrt2 with sigma_x on each qubit: every outcome
@@ -285,7 +286,7 @@ class TestJoint:
         ghz = np.zeros(8, dtype=complex)
         ghz[[0, 7]] = 1.0 / np.sqrt(2.0)
         x = np.stack([(np.eye(2) + s * SX) / 2 for s in born.OUTCOMES])
-        p = born.joint(ghz, x, x, x)
+        p = born.probabilities(ghz, x, x, x)
         signs = np.multiply.outer(np.multiply.outer(born.OUTCOMES, born.OUTCOMES),
                                   born.OUTCOMES)
         assert np.max(np.abs(p[signs < 0])) < TOL
@@ -297,7 +298,27 @@ class TestJoint:
         rng = np.random.default_rng(seed)
         psi = random_state(rng, da * db)
         fa, fb = random_effects(rng, da), random_effects(rng, db)
-        assert np.max(np.abs(born.joint(psi, fa, fb) - kron_reference(psi, fa, fb))) < TOL
+        assert np.max(np.abs(born.probabilities(psi, fa, fb) - kron_reference(psi, fa, fb))) \
+            < TOL
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_pure_form_is_the_density_form(self, rng, dims):
+        """The law of psi equals the law of |psi><psi| on two parties."""
+        for _ in range(200):
+            psi = random_state(rng, dims[0] * dims[1])
+            stacks = [random_effects(rng, d) for d in dims]
+            assert np.max(np.abs(born.probabilities(psi, *stacks)
+                                 - born.probabilities(pure(psi), *stacks))) <= 1e-15
+
+    def test_one_party_density_is_the_reference_einsum(self):
+        """Bit for bit p_n = Re sum_ik F_nik rho_ki, clipped into [0, 1]."""
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            d = int(rng.integers(1, 7))
+            f = random_instrument(rng, d, int(rng.integers(1, 5))).effects
+            rho = random_density(rng, d)
+            want = np.clip(np.einsum("nik,ki->n", f, rho).real, 0.0, 1.0)
+            assert np.array_equal(born.probabilities(rho, f), want)
 
 
 UP = np.diag([1.0, 0.0]).astype(complex)

@@ -141,8 +141,10 @@ EMPTY_STACK = np.zeros((1, 0, 0))
      DimMismatch, "state of dim 3 for effects of dim 2"),
     (lambda: measurement.Evidence(np.eye(3) / 3)(EYE2), DimMismatch,
      "state of dim 3 for effects of dim 2"),
-    (lambda: born.joint(np.full(4, 0.5), EYE2[None], np.eye(3)[None]), DimMismatch,
-     "state of dim 4 for parties of dims \\(2, 3\\)"),
+    (lambda: born.probabilities(np.full(4, 0.5), EYE2[None], np.eye(3)[None]), DimMismatch,
+     "state of dim 4 for effects of dim 2 x 3"),
+    (lambda: born.probabilities(np.eye(4) / 4, EYE2[None], np.eye(3)[None]), DimMismatch,
+     "state of dim 4 for effects of dim 2 x 3"),
     (lambda: born.transition_probability(spin_z(), -1, spin_z(), 0), DomainError,
      "index i must lie in 0..1, got -1"),
     (lambda: born.transition_probability(spin_z(), 0, spin_z(), 2), DomainError,
@@ -221,9 +223,15 @@ EMPTY_STACK = np.zeros((1, 0, 0))
     # sizes are whole numbers, a model has a parameter value, and a group
     # one label per element
     (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], np.eye(2), "ab"),
-     NotFinite, "sizes must convert to int"),
+     NotFinite, "sizes must convert to float"),
     (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], EYE2, [1.9, 1.2]),
      NotInteger, "sizes must be whole numbers, got \\[1.9, 1.2\\]"),
+    # sizes are checked before the int cast, which would warn or overflow
+    (lambda: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], EYE2,
+                                                     np.array([np.nan, 1.0])),
+     NotInteger, "sizes must be whole numbers"),
+    *[(lambda sizes=sizes: variables.AccessibleVariable.from_basis("v", [0.0, 1.0], EYE2, sizes),
+       DimMismatch, "do not split dim 2") for sizes in (np.array([1e30, 1.0]), [10**30, 1])],
     (lambda: measurement.StatisticalModel([], (), np.zeros((0, 0))), BadDistribution,
      "at least one parameter value"),
     (lambda: measurement.StatisticalModel([], (0,), np.zeros((1, 0))), BadDistribution,
@@ -387,7 +395,7 @@ def test_only_the_spin_bands_and_quadrature_are_cached():
 
 def test_the_library_forms_no_kronecker_product():
     """A joint law of local questions contracts each party's effects with
-    the reshaped state (``born.joint``): no ``kron`` call anywhere in avq."""
+    the reshaped state (``born.probabilities``): no ``kron`` call anywhere in avq."""
     assert library_offenders(lambda node, _: isinstance(node, ast.Call) and "kron" in (
         getattr(node.func, "attr", None), getattr(node.func, "id", None))) == []
 
@@ -430,6 +438,24 @@ def test_the_library_imports_only_the_standard_library_and_numpy():
         return any(name.split(".")[0] not in allowed for name in names)
 
     assert library_offenders(outside) == []
+
+
+def test_every_module_level_import_is_read():
+    """Each name that a module-level import of avq, the demos or the tests
+    binds is read in its file, ``from __future__`` aside."""
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    unread = []
+    for path in sorted([*pathlib.Path(avq.__file__).parent.glob("*.py"),
+                        *(repo / "demos").glob("*.py"), *(repo / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unread += [f"{path.name}:{node.lineno} {name}" for name in bound
+                           if name not in read]
+    assert unread == []
 
 
 # The public names that only tests read so far, each with the ROADMAP item
